@@ -27,7 +27,7 @@ use crate::similarity::{QueryNeighborhood, SimilarityMatrix};
 use crate::sink::{PathSink, SinkFlow};
 use crate::stats::{EnumStats, SearchCounters, Stage};
 use hcsp_graph::{DiGraph, VertexId};
-use hcsp_index::BatchIndex;
+use hcsp_index::{AnchorDistances, BatchIndex};
 use std::time::Instant;
 
 /// Default clustering threshold used by the paper's experiments ("We set the default value
@@ -286,17 +286,24 @@ impl BatchEnum {
         providers_by_root.sort_by_key(|&(root, _, q)| (root, std::cmp::Reverse(q.budget)));
         providers_by_root.dedup_by_key(|&mut (root, _, _)| root);
         match self.mode {
-            ExpansionMode::Recursive => self.extend_shared(
-                graph,
-                index,
-                hcs,
-                slacks,
-                &providers_by_root,
-                cache,
-                buffers,
-                &mut out,
-                counters,
-            ),
+            ExpansionMode::Recursive => {
+                // Each dependent query's slack constraint is resolved to its anchor's
+                // distance map once per materialisation, not once per scanned edge.
+                let slack_views: Vec<(u32, AnchorDistances<'_>)> = slacks
+                    .iter()
+                    .map(|c| (c.slack, index.anchor_view(hcs.direction, c.anchor)))
+                    .collect();
+                self.extend_shared(
+                    graph,
+                    hcs,
+                    &slack_views,
+                    &providers_by_root,
+                    cache,
+                    buffers,
+                    &mut out,
+                    counters,
+                )
+            }
             ExpansionMode::Frontier => self.extend_shared_frontier(
                 graph,
                 index,
@@ -314,13 +321,19 @@ impl BatchEnum {
 
     /// Recursive shared prefix extension (the `Search` procedure of Algorithm 4).
     /// `buffers.stack` holds the current prefix, mirrored by `buffers.marks`.
+    ///
+    /// One contiguous fill pass per level filters the prefix tail's adjacency segment
+    /// (CSR neighbours zipped with their inline degrees) against the pre-resolved
+    /// `(slack, anchor distances)` views and records each survivor's `(dist-to-first-
+    /// anchor, degree)` sort key. The order is a heuristic, not a correctness condition,
+    /// so it keys on the *first* anchor only: a candidate admitted via a later anchor may
+    /// key at `INF` and sort last.
     #[allow(clippy::too_many_arguments)]
     fn extend_shared(
         &self,
         graph: &DiGraph,
-        index: &BatchIndex,
         hcs: HcsQuery,
-        slacks: &[AnchorSlack],
+        slack_views: &[(u32, AnchorDistances<'_>)],
         providers_by_root: &[(VertexId, NodeId, HcsQuery)],
         cache: &ResultCache,
         buffers: &mut SearchBuffers,
@@ -339,29 +352,30 @@ impl BatchEnum {
         let remaining_after = hcs.budget - current_hops - 1;
 
         let level_start = buffers.candidates.len();
-        for &w in graph.neighbors(last, hcs.direction) {
+        let new_len = current_hops + 1;
+        let neighbors = graph.neighbors(last, hcs.direction);
+        let degrees = graph.neighbor_degrees(last, hcs.direction);
+        for (&w, &deg) in neighbors.iter().zip(degrees) {
             counters.scanned_edges += 1;
-            let new_len = current_hops + 1;
-            if !Self::is_useful(index, hcs, slacks, w, new_len) {
+            if !Self::is_useful_views(slack_views, w, new_len) {
                 counters.pruned_edges += 1;
                 continue;
             }
             if buffers.marks.contains(w) {
                 continue;
             }
+            let key_dist = slack_views.first().map_or(0, |(_, view)| view.dist(w));
             buffers.candidates.push(w);
+            buffers.cand_keys.push((key_dist, deg));
         }
-        if let Some(first_anchor) = slacks.first() {
-            self.order.arrange(
-                &mut buffers.candidates[level_start..],
-                graph,
-                index,
-                first_anchor.anchor,
-                hcs.direction,
-            );
+        let level_end = buffers.candidates.len();
+        if self.order == SearchOrder::DistanceThenDegree
+            && !slack_views.is_empty()
+            && level_end - level_start > 1
+        {
+            buffers.sort_run_by_keys(level_start, level_end);
         }
 
-        let level_end = buffers.candidates.len();
         for i in level_start..level_end {
             let w = buffers.candidates[i];
             // Splice the cached results of a provider rooted at w when its budget covers
@@ -389,9 +403,8 @@ impl BatchEnum {
             buffers.marks.mark(w);
             self.extend_shared(
                 graph,
-                index,
                 hcs,
-                slacks,
+                slack_views,
                 providers_by_root,
                 cache,
                 buffers,
@@ -402,6 +415,7 @@ impl BatchEnum {
             buffers.stack.pop();
         }
         buffers.candidates.truncate(level_start);
+        buffers.cand_keys.truncate(level_start);
     }
 
     /// Iterative frontier-at-a-time form of [`BatchEnum::extend_shared`], byte-identical
@@ -545,7 +559,10 @@ impl BatchEnum {
         });
     }
 
-    /// [`BatchEnum::is_useful`] over pre-resolved anchor views.
+    /// Lemma 3.1 pruning generalised to a shared HC-s path query: an extension to `w` of
+    /// `new_len` hops is useful when at least one dependent HC-s-t query can still complete
+    /// a path through it within its own hop constraint (`slack_views` holds each such
+    /// query's slack and its anchor's pre-resolved distances).
     fn is_useful_views(
         slack_views: &[(u32, hcsp_index::AnchorDistances<'_>)],
         w: VertexId,
@@ -557,25 +574,6 @@ impl BatchEnum {
         slack_views.iter().any(|&(slack, view)| {
             let dist = view.dist(w);
             dist != hcsp_index::INF && new_len.saturating_add(dist) <= slack
-        })
-    }
-
-    /// Lemma 3.1 pruning generalised to a shared HC-s path query: an extension to `w` of
-    /// `new_len` hops is useful when at least one dependent HC-s-t query can still complete
-    /// a path through it within its own hop constraint.
-    fn is_useful(
-        index: &BatchIndex,
-        hcs: HcsQuery,
-        slacks: &[AnchorSlack],
-        w: VertexId,
-        new_len: u32,
-    ) -> bool {
-        if slacks.is_empty() {
-            return true;
-        }
-        slacks.iter().any(|constraint| {
-            let dist = index.dist_towards(hcs.direction, w, constraint.anchor);
-            dist != hcsp_index::INF && new_len.saturating_add(dist) <= constraint.slack
         })
     }
 
@@ -681,6 +679,85 @@ mod tests {
             PathQuery::new(4u32, 14u32, 4),
             PathQuery::new(9u32, 14u32, 3),
         ]
+    }
+
+    /// The Fig. 1 batch's result paths, per query in emission order, under CSR
+    /// (vertex-id) neighbour order: `PathEnum`, `BasicEnum` and `BatchEnum`.
+    const GOLDEN_ID_ORDER: [&[&[u32]]; 5] = [
+        &[
+            &[0, 1, 7, 10, 12, 11],
+            &[0, 4, 9, 3, 6, 11],
+            &[0, 4, 9, 15, 6, 11],
+        ],
+        &[
+            &[2, 1, 7, 10, 12, 13],
+            &[2, 4, 9, 3, 6, 13],
+            &[2, 4, 9, 15, 6, 13],
+        ],
+        &[&[5, 1, 7, 10, 12]],
+        &[&[4, 9, 3, 6, 14], &[4, 9, 15, 6, 14]],
+        &[&[9, 3, 6, 14], &[9, 15, 6, 14]],
+    ];
+
+    /// The same batch under the `+` (distance-then-degree) order: `BasicEnum+` and
+    /// `BatchEnum+` reach 11 and 13 through vertex 4 first.
+    const GOLDEN_PLUS_ORDER: [&[&[u32]]; 5] = [
+        &[
+            &[0, 4, 9, 3, 6, 11],
+            &[0, 4, 9, 15, 6, 11],
+            &[0, 1, 7, 10, 12, 11],
+        ],
+        &[
+            &[2, 4, 9, 3, 6, 13],
+            &[2, 4, 9, 15, 6, 13],
+            &[2, 1, 7, 10, 12, 13],
+        ],
+        &[&[5, 1, 7, 10, 12]],
+        &[&[4, 9, 3, 6, 14], &[4, 9, 15, 6, 14]],
+        &[&[9, 3, 6, 14], &[9, 15, 6, 14]],
+    ];
+
+    #[test]
+    fn paper_batch_emission_order_and_counters_are_pinned() {
+        use crate::engine::{Algorithm, BatchEngine};
+        let g = paper_graph();
+        let queries = paper_queries();
+        let per_query = SearchCounters {
+            expanded_vertices: 50,
+            scanned_edges: 50,
+            pruned_edges: 10,
+            stored_prefixes: 50,
+            cache_splices: 0,
+            produced_paths: 11,
+        };
+        let shared = SearchCounters {
+            expanded_vertices: 22,
+            scanned_edges: 25,
+            pruned_edges: 3,
+            stored_prefixes: 56,
+            cache_splices: 12,
+            produced_paths: 11,
+        };
+        for algorithm in Algorithm::ALL {
+            let outcome = BatchEngine::with_algorithm(algorithm).run(&g, &queries);
+            let golden = match algorithm.search_order() {
+                SearchOrder::VertexId => &GOLDEN_ID_ORDER,
+                SearchOrder::DistanceThenDegree => &GOLDEN_PLUS_ORDER,
+            };
+            for (id, expected) in golden.iter().enumerate() {
+                let got: Vec<Vec<u32>> = outcome.paths[id]
+                    .iter()
+                    .map(|p| p.iter().map(|v| v.raw()).collect())
+                    .collect();
+                assert_eq!(got, *expected, "{algorithm} query {id}");
+            }
+            let counters = if algorithm.shares_computation() {
+                shared
+            } else {
+                per_query
+            };
+            assert_eq!(outcome.stats.counters, counters, "{algorithm}");
+        }
     }
 
     fn assert_matches_reference(

@@ -152,9 +152,18 @@ impl<'a> SearchContext<'a> {
         buffers.stack.push(root);
         buffers.marks.mark(root);
         match self.mode {
-            ExpansionMode::Recursive => self.extend_prefix(
-                buffers, dir, anchor, budget, hop_limit, &mut visit, counters,
-            ),
+            ExpansionMode::Recursive => {
+                let anchor_dist = self.index.anchor_view(dir, anchor);
+                self.extend_prefix(
+                    buffers,
+                    dir,
+                    &anchor_dist,
+                    budget,
+                    hop_limit,
+                    &mut visit,
+                    counters,
+                )
+            }
             ExpansionMode::Frontier => self.extend_frontier(
                 buffers, dir, anchor, budget, hop_limit, &mut visit, counters,
             ),
@@ -163,8 +172,16 @@ impl<'a> SearchContext<'a> {
 
     /// Recursive prefix extension. `buffers.stack` holds the current prefix (root first),
     /// mirrored by `buffers.marks`; each open level occupies one range of the shared
-    /// candidate arena. A non-`Continue` verdict from `visit` unwinds the recursion
-    /// immediately (the arena is not repaired level by level on that path —
+    /// candidate arena, with its `(dist, degree)` sort keys in the parallel `cand_keys`.
+    ///
+    /// The fill pass filters the prefix tail's adjacency segment in one contiguous pass:
+    /// the CSR neighbour slice is zipped with its inline-degree slice, and each
+    /// candidate's distance comes from the anchor's distance map, resolved once per
+    /// traversal by the caller. The `DistanceThenDegree` order then sorts the keys the
+    /// pass recorded instead of re-deriving them per candidate.
+    ///
+    /// A non-`Continue` verdict from `visit` unwinds the recursion immediately (the arena
+    /// is not repaired level by level on that path —
     /// [`SearchBuffers::begin_traversal`](crate::buffers::SearchBuffers) resets it before
     /// the next traversal).
     #[allow(clippy::too_many_arguments)]
@@ -172,7 +189,7 @@ impl<'a> SearchContext<'a> {
         &self,
         buffers: &mut SearchBuffers,
         dir: Direction,
-        anchor: VertexId,
+        anchor_dist: &AnchorDistances<'_>,
         budget: u32,
         hop_limit: u32,
         visit: &mut F,
@@ -194,12 +211,12 @@ impl<'a> SearchContext<'a> {
         // lint:allow(panic-free-hot-path) the stack always holds at least the traversal root
         let last = *buffers.stack.last().expect("prefix is never empty");
         let level_start = buffers.candidates.len();
-        // CSR neighbour slices are consumed directly; surviving candidates land in this
-        // level's arena range.
-        for &w in self.graph.neighbors(last, dir) {
+        let new_len = current_hops + 1;
+        let neighbors = self.graph.neighbors(last, dir);
+        let degrees = self.graph.neighbor_degrees(last, dir);
+        for (&w, &deg) in neighbors.iter().zip(degrees) {
             counters.scanned_edges += 1;
-            let new_len = current_hops + 1;
-            let remaining = self.index.dist_towards(dir, w, anchor);
+            let remaining = anchor_dist.dist(w);
             // Lemma 3.1: the prefix must still be completable within the hop limit.
             if remaining == hcsp_index::INF || new_len.saturating_add(remaining) > hop_limit {
                 counters.pruned_edges += 1;
@@ -209,16 +226,12 @@ impl<'a> SearchContext<'a> {
                 continue;
             }
             buffers.candidates.push(w);
+            buffers.cand_keys.push((remaining, deg));
         }
-        self.order.arrange(
-            // lint:allow(panic-free-hot-path) level_start was candidates.len() above; only pushes since
-            &mut buffers.candidates[level_start..],
-            self.graph,
-            self.index,
-            anchor,
-            dir,
-        );
         let level_end = buffers.candidates.len();
+        if self.order == SearchOrder::DistanceThenDegree && level_end - level_start > 1 {
+            buffers.sort_run_by_keys(level_start, level_end);
+        }
         for i in level_start..level_end {
             // Deeper levels only append past `level_end` and truncate back, so this
             // level's range stays valid across the recursion.
@@ -226,7 +239,15 @@ impl<'a> SearchContext<'a> {
             let w = buffers.candidates[i];
             buffers.stack.push(w);
             buffers.marks.mark(w);
-            let flow = self.extend_prefix(buffers, dir, anchor, budget, hop_limit, visit, counters);
+            let flow = self.extend_prefix(
+                buffers,
+                dir,
+                anchor_dist,
+                budget,
+                hop_limit,
+                visit,
+                counters,
+            );
             buffers.marks.unmark(w);
             buffers.stack.pop();
             if !flow.is_continue() {
@@ -234,6 +255,7 @@ impl<'a> SearchContext<'a> {
             }
         }
         buffers.candidates.truncate(level_start);
+        buffers.cand_keys.truncate(level_start);
         SinkFlow::Continue
     }
 
