@@ -20,7 +20,6 @@ use crate::concat::concatenate_scratch;
 use crate::detection::detect_cluster;
 use crate::path::PathSet;
 use crate::query::{BatchSummary, HcsQuery, PathQuery, QueryId};
-use crate::search::ExpansionMode;
 use crate::search_order::SearchOrder;
 use crate::sharing_graph::{AnchorSlack, NodeId, QueryNode, SharingGraph};
 use crate::similarity::{QueryNeighborhood, SimilarityMatrix};
@@ -41,8 +40,6 @@ pub struct BatchEnum {
     pub order: SearchOrder,
     /// Clustering threshold γ ∈ [0, 1]. γ = 1 disables clustering (every query alone).
     pub gamma: f64,
-    /// Shared-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
 }
 
 impl Default for BatchEnum {
@@ -50,25 +47,14 @@ impl Default for BatchEnum {
         BatchEnum {
             order: SearchOrder::default(),
             gamma: DEFAULT_GAMMA,
-            mode: ExpansionMode::default(),
         }
     }
 }
 
 impl BatchEnum {
-    /// Creates the algorithm with an explicit search order and γ (default expansion mode).
+    /// Creates the algorithm with an explicit search order and γ.
     pub fn new(order: SearchOrder, gamma: f64) -> Self {
-        BatchEnum {
-            order,
-            gamma,
-            mode: ExpansionMode::default(),
-        }
-    }
-
-    /// Selects the shared-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
+        BatchEnum { order, gamma }
     }
 
     /// Processes a batch of queries, streaming every result path into `sink`.
@@ -285,37 +271,22 @@ impl BatchEnum {
             .collect();
         providers_by_root.sort_by_key(|&(root, _, q)| (root, std::cmp::Reverse(q.budget)));
         providers_by_root.dedup_by_key(|&mut (root, _, _)| root);
-        match self.mode {
-            ExpansionMode::Recursive => {
-                // Each dependent query's slack constraint is resolved to its anchor's
-                // distance map once per materialisation, not once per scanned edge.
-                let slack_views: Vec<(u32, AnchorDistances<'_>)> = slacks
-                    .iter()
-                    .map(|c| (c.slack, index.anchor_view(hcs.direction, c.anchor)))
-                    .collect();
-                self.extend_shared(
-                    graph,
-                    hcs,
-                    &slack_views,
-                    &providers_by_root,
-                    cache,
-                    buffers,
-                    &mut out,
-                    counters,
-                )
-            }
-            ExpansionMode::Frontier => self.extend_shared_frontier(
-                graph,
-                index,
-                hcs,
-                slacks,
-                &providers_by_root,
-                cache,
-                buffers,
-                &mut out,
-                counters,
-            ),
-        }
+        // Each dependent query's slack constraint is resolved to its anchor's distance
+        // map once per materialisation, not once per scanned edge.
+        let slack_views: Vec<(u32, AnchorDistances<'_>)> = slacks
+            .iter()
+            .map(|c| (c.slack, index.anchor_view(hcs.direction, c.anchor)))
+            .collect();
+        self.extend_shared(
+            graph,
+            hcs,
+            &slack_views,
+            &providers_by_root,
+            cache,
+            buffers,
+            &mut out,
+            counters,
+        );
         out
     }
 
@@ -416,147 +387,6 @@ impl BatchEnum {
         }
         buffers.candidates.truncate(level_start);
         buffers.cand_keys.truncate(level_start);
-    }
-
-    /// Iterative frontier-at-a-time form of [`BatchEnum::extend_shared`], byte-identical
-    /// in emission order and counters (the shared-search analogue of
-    /// `SearchContext::extend_frontier`).
-    ///
-    /// The per-anchor slack constraints are resolved to [`AnchorDistances`] views once
-    /// per materialisation, so the usefulness test probes each anchor's sparse map
-    /// directly instead of binary-searching the index root table per `(edge, anchor)`
-    /// pair. Provider splicing happens at candidate-take — exactly where the recursive
-    /// engine checks before descending.
-    ///
-    /// [`AnchorDistances`]: hcsp_index::AnchorDistances
-    #[allow(clippy::too_many_arguments)]
-    fn extend_shared_frontier(
-        &self,
-        graph: &DiGraph,
-        index: &BatchIndex,
-        hcs: HcsQuery,
-        slacks: &[AnchorSlack],
-        providers_by_root: &[(VertexId, NodeId, HcsQuery)],
-        cache: &ResultCache,
-        buffers: &mut SearchBuffers,
-        out: &mut PathSet,
-        counters: &mut SearchCounters,
-    ) {
-        let slack_views: Vec<(u32, hcsp_index::AnchorDistances<'_>)> = slacks
-            .iter()
-            .map(|c| (c.slack, index.anchor_view(hcs.direction, c.anchor)))
-            .collect();
-        counters.expanded_vertices += 1;
-        counters.stored_prefixes += 1;
-        out.push_slice(&buffers.stack);
-        if hcs.budget == 0 {
-            return;
-        }
-        self.fill_shared_level(graph, hcs, &slack_views, 0, buffers, counters);
-        loop {
-            let Some(top) = buffers.levels.last_mut() else {
-                return;
-            };
-            if top.cursor < top.end {
-                let w = buffers.candidates[top.cursor];
-                top.cursor += 1;
-                // The stack tail is this level's owner, so its length gives the same
-                // `current_hops` the recursive call frame would hold.
-                let current_hops = (buffers.stack.len() - 1) as u32;
-                let remaining_after = hcs.budget - current_hops - 1;
-                // Splice the cached results of a provider rooted at w when its budget
-                // covers everything this prefix still needs (Alg. 4 lines 22-23).
-                if let Ok(slot) = providers_by_root.binary_search_by_key(&w, |&(root, _, _)| root) {
-                    let (_, provider, provider_query) = providers_by_root[slot];
-                    if provider_query.covers_budget(remaining_after) {
-                        if let Some(cached) = cache.get(provider) {
-                            counters.cache_splices += 1;
-                            for suffix in cached.iter() {
-                                if (suffix.len() - 1) as u32 > remaining_after {
-                                    continue;
-                                }
-                                if suffix.iter().any(|&v| buffers.marks.contains(v)) {
-                                    continue;
-                                }
-                                counters.stored_prefixes += 1;
-                                out.push_concat(&buffers.stack, suffix);
-                            }
-                            continue;
-                        }
-                    }
-                }
-                buffers.stack.push(w);
-                buffers.marks.mark(w);
-                counters.expanded_vertices += 1;
-                counters.stored_prefixes += 1;
-                out.push_slice(&buffers.stack);
-                let new_hops = current_hops + 1;
-                if new_hops < hcs.budget {
-                    self.fill_shared_level(graph, hcs, &slack_views, new_hops, buffers, counters);
-                } else {
-                    buffers.marks.unmark(w);
-                    buffers.stack.pop();
-                }
-            } else {
-                let run = buffers.levels.pop().expect("checked non-empty above");
-                buffers.candidates.truncate(run.start);
-                buffers.cand_keys.truncate(run.start);
-                if !buffers.levels.is_empty() {
-                    let owner = *buffers.stack.last().expect("prefix never empty");
-                    buffers.marks.unmark(owner);
-                    buffers.stack.pop();
-                }
-            }
-        }
-    }
-
-    /// Fills one shared-search frontier level: one contiguous filter pass over the
-    /// adjacency segment of the prefix tail, recording the `(dist-to-first-anchor,
-    /// degree)` sort key of every survivor.
-    ///
-    /// The recursive oracle arranges against the *first* anchor only (the sort is a
-    /// heuristic, not a correctness condition), so the key distance is taken from the
-    /// first slack view unconditionally — a candidate admitted via a later anchor may
-    /// key at `INF`, exactly as `SearchOrder::arrange` would place it.
-    fn fill_shared_level(
-        &self,
-        graph: &DiGraph,
-        hcs: HcsQuery,
-        slack_views: &[(u32, hcsp_index::AnchorDistances<'_>)],
-        current_hops: u32,
-        buffers: &mut SearchBuffers,
-        counters: &mut SearchCounters,
-    ) {
-        let last = *buffers.stack.last().expect("prefix never empty");
-        let start = buffers.candidates.len();
-        let new_len = current_hops + 1;
-        let neighbors = graph.neighbors(last, hcs.direction);
-        let degrees = graph.neighbor_degrees(last, hcs.direction);
-        for (&w, &deg) in neighbors.iter().zip(degrees) {
-            counters.scanned_edges += 1;
-            if !Self::is_useful_views(slack_views, w, new_len) {
-                counters.pruned_edges += 1;
-                continue;
-            }
-            if buffers.marks.contains(w) {
-                continue;
-            }
-            let key_dist = slack_views.first().map_or(0, |(_, view)| view.dist(w));
-            buffers.candidates.push(w);
-            buffers.cand_keys.push((key_dist, deg));
-        }
-        let end = buffers.candidates.len();
-        if self.order == SearchOrder::DistanceThenDegree
-            && !slack_views.is_empty()
-            && end - start > 1
-        {
-            buffers.sort_run_by_keys(start, end);
-        }
-        buffers.levels.push(crate::buffers::LevelRun {
-            start,
-            cursor: start,
-            end,
-        });
     }
 
     /// Lemma 3.1 pruning generalised to a shared HC-s path query: an extension to `w` of
@@ -859,37 +689,6 @@ mod tests {
             ];
             assert_matches_reference(&g, &queries, SearchOrder::VertexId, 0.5);
             assert_matches_reference(&g, &queries, SearchOrder::DistanceThenDegree, 0.3);
-        }
-    }
-
-    #[test]
-    fn frontier_mode_matches_recursive_mode_byte_for_byte() {
-        // Same paths in the same order, same counters — including cache splices, across
-        // clustering regimes and both search orders.
-        let g = paper_graph();
-        let queries = paper_queries();
-        for order in [SearchOrder::VertexId, SearchOrder::DistanceThenDegree] {
-            for gamma in [0.0, 0.5, 1.0] {
-                let mut rec_sink = CollectSink::new(queries.len());
-                let rec_stats = BatchEnum::new(order, gamma)
-                    .with_mode(ExpansionMode::Recursive)
-                    .run_batch(&g, &queries, &mut rec_sink);
-                let mut fro_sink = CollectSink::new(queries.len());
-                let fro_stats = BatchEnum::new(order, gamma)
-                    .with_mode(ExpansionMode::Frontier)
-                    .run_batch(&g, &queries, &mut fro_sink);
-                for id in 0..queries.len() {
-                    assert_eq!(
-                        fro_sink.paths(id).to_paths(),
-                        rec_sink.paths(id).to_paths(),
-                        "query {id} (order {order:?}, gamma {gamma})"
-                    );
-                }
-                assert_eq!(
-                    fro_stats.counters, rec_stats.counters,
-                    "order {order:?}, gamma {gamma}"
-                );
-            }
         }
     }
 

@@ -14,6 +14,7 @@
 //!   recursion levels back to back: a level records its start offset, appends its
 //!   candidates, iterates them by index, and truncates back on exit. Deeper levels only
 //!   ever append after the current level's range, so no per-level allocation is needed.
+//!   A parallel key array holds each candidate's `(distance, degree)` sort key.
 //! * **Half-search path sets** — the forward/backward prefix sets of a query, cleared
 //!   (capacity retained) between queries instead of reallocated.
 //! * **Join scratch** — the bucketed join-vertex table and the assembly buffer of the
@@ -97,24 +98,6 @@ pub struct JoinScratch {
     pub(crate) assembled: Vec<VertexId>,
 }
 
-/// One open level of the frontier traversal: a contiguous candidate run
-/// `candidates[start..end]` with `cursor` marking the next candidate to take.
-///
-/// The frontier engine replaces the recursion stack of the DFS with a `Vec<LevelRun>`:
-/// descending pushes a run, exhausting a run pops it. Because deeper runs only ever
-/// append after `end`, truncating the arena back to `start` on pop reclaims the space
-/// with no per-level allocation — the same discipline the recursive engine applies
-/// implicitly through its call stack.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LevelRun {
-    /// First candidate of this level in the arena.
-    pub(crate) start: usize,
-    /// Next candidate to expand (`start..=end`).
-    pub(crate) cursor: usize,
-    /// One past the last candidate of this level.
-    pub(crate) end: usize,
-}
-
 /// Per-thread reusable buffers of the enumeration hot path.
 ///
 /// Create one per worker (or per batch) and pass it to the `*_buffered` entry points of
@@ -129,11 +112,8 @@ pub struct SearchBuffers {
     pub(crate) marks: VisitMarks,
     /// Flat candidate arena shared by all open recursion levels.
     pub(crate) candidates: Vec<VertexId>,
-    /// Open levels of the iterative frontier traversal (empty while the recursive
-    /// engine runs; it keeps its levels on the call stack).
-    pub(crate) levels: Vec<LevelRun>,
     /// Sort keys parallel to `candidates`: `(dist_towards_anchor, degree)` per
-    /// candidate, filled by the frontier fill pass so ordering never re-derives them.
+    /// candidate, recorded by the DFS fill pass so ordering never re-derives them.
     pub(crate) cand_keys: Vec<(u32, u32)>,
     /// Reusable `(dist, degree, vertex)` triples for the keyed candidate sort.
     pub(crate) sort_buf: Vec<(u32, u32, VertexId)>,
@@ -165,15 +145,18 @@ impl SearchBuffers {
     pub(crate) fn begin_traversal(&mut self, graph: &DiGraph) {
         self.stack.clear();
         self.candidates.clear();
-        self.levels.clear();
         self.cand_keys.clear();
         self.marks.reset(graph.num_vertices());
     }
 
     /// Sorts the candidate run `candidates[start..end]` by its precomputed
-    /// `(dist, degree)` keys, ties broken by vertex id — the exact total order of
-    /// [`SearchOrder::DistanceThenDegree`](crate::search_order::SearchOrder), but over
-    /// keys recorded during the fill pass instead of re-derived per candidate.
+    /// `(dist, degree)` keys, ties broken by vertex id: the total order of
+    /// [`SearchOrder::DistanceThenDegree`](crate::search_order::SearchOrder), over keys
+    /// recorded during the fill pass instead of re-derived per candidate.
+    ///
+    /// The unstable sort allocates nothing (a stable one would allocate its merge buffer
+    /// on every call), and it is safe because the key ends in the vertex id: equal keys
+    /// cannot occur, so stability cannot change the output.
     pub(crate) fn sort_run_by_keys(&mut self, start: usize, end: usize) {
         self.sort_buf.clear();
         self.sort_buf.extend(
@@ -252,17 +235,11 @@ mod tests {
         buffers.stack.push(v(0));
         buffers.candidates.extend([v(1), v(2)]);
         buffers.cand_keys.extend([(1, 2), (1, 2)]);
-        buffers.levels.push(LevelRun {
-            start: 0,
-            cursor: 0,
-            end: 2,
-        });
         buffers.marks.mark(v(0));
         let stack_cap = buffers.stack.capacity();
         buffers.begin_traversal(&g);
         assert!(buffers.stack.is_empty());
         assert!(buffers.candidates.is_empty());
-        assert!(buffers.levels.is_empty());
         assert!(buffers.cand_keys.is_empty());
         assert!(!buffers.marks.contains(v(0)));
         assert!(buffers.stack.capacity() >= stack_cap);

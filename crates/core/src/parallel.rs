@@ -38,7 +38,6 @@ use crate::buffers::SearchBuffers;
 use crate::clustering::cluster_queries;
 use crate::pathenum::PathEnum;
 use crate::query::{BatchSummary, PathQuery, QueryId};
-use crate::search::ExpansionMode;
 use crate::search_order::SearchOrder;
 use crate::similarity::{QueryNeighborhood, SimilarityMatrix};
 use crate::sink::{CollectSink, PathSink, SinkFlow};
@@ -101,7 +100,8 @@ pub enum SplitPolicy {
 }
 
 impl SplitPolicy {
-    /// The compat mapping of the old `max_cluster_size: Option<usize>` knob:
+    /// Maps an optional cluster cap (the knob of
+    /// [`Engine::set_parallel_cluster_cap`](crate::Engine::set_parallel_cluster_cap)):
     /// `Some(c > 0)` caps at `c`, `Some(0)` and `None` never split.
     pub fn from_cap(cap: Option<usize>) -> Self {
         match cap.filter(|&c| c > 0) {
@@ -418,7 +418,6 @@ pub(crate) fn run_specs_parallel_pathenum(
     graph: &DiGraph,
     specs: &[QuerySpec],
     order: SearchOrder,
-    mode: ExpansionMode,
     parallelism: Parallelism,
 ) -> (Vec<QueryResponse>, EnumStats) {
     let mut stats = EnumStats::new(specs.len());
@@ -429,7 +428,7 @@ pub(crate) fn run_specs_parallel_pathenum(
     }
     let start = Instant::now();
     let clusters: Vec<Vec<QueryId>> = (0..specs.len()).map(|q| vec![q]).collect();
-    let per_query = PathEnum::new(order).with_mode(mode);
+    let per_query = PathEnum::new(order);
     let (results, num_shards) = execute_sharded_with(
         &clusters,
         parallelism.workers(),
@@ -476,7 +475,6 @@ pub(crate) fn run_specs_parallel_with_index(
     index: &BatchIndex,
     specs: &[QuerySpec],
     order: SearchOrder,
-    mode: ExpansionMode,
     gamma: f64,
     shared: bool,
     split: SplitPolicy,
@@ -499,8 +497,8 @@ pub(crate) fn run_specs_parallel_with_index(
     stats.add_stage(Stage::ClusterQuery, start.elapsed());
 
     let start = Instant::now();
-    let per_query = PathEnum::new(order).with_mode(mode);
-    let sequential = BatchEnum::new(order, 1.0).with_mode(mode);
+    let per_query = PathEnum::new(order);
+    let sequential = BatchEnum::new(order, 1.0);
     let (results, num_shards) = execute_sharded_with(
         &clusters,
         parallelism.workers(),
@@ -552,8 +550,6 @@ pub(crate) fn run_specs_parallel_with_index(
 pub struct ParallelBasicEnum {
     /// Neighbour expansion order for the per-query searches.
     pub order: SearchOrder,
-    /// Half-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
     /// Worker thread count.
     pub parallelism: Parallelism,
 }
@@ -562,7 +558,6 @@ impl Default for ParallelBasicEnum {
     fn default() -> Self {
         ParallelBasicEnum {
             order: SearchOrder::default(),
-            mode: ExpansionMode::default(),
             parallelism: Parallelism::Auto,
         }
     }
@@ -571,17 +566,7 @@ impl Default for ParallelBasicEnum {
 impl ParallelBasicEnum {
     /// Creates the runner with an explicit search order and worker count.
     pub fn new(order: SearchOrder, parallelism: Parallelism) -> Self {
-        ParallelBasicEnum {
-            order,
-            mode: ExpansionMode::default(),
-            parallelism,
-        }
-    }
-
-    /// Selects the half-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
+        ParallelBasicEnum { order, parallelism }
     }
 
     /// Processes the batch, streaming results (in query order) into `sink`.
@@ -627,7 +612,7 @@ impl ParallelBasicEnum {
         // Every query is its own "cluster": no sharing, maximal parallel slack.
         let start = Instant::now();
         let clusters: Vec<Vec<QueryId>> = (0..queries.len()).map(|q| vec![q]).collect();
-        let per_query = PathEnum::new(self.order).with_mode(self.mode);
+        let per_query = PathEnum::new(self.order);
         let (results, num_shards) =
             execute_sharded(&clusters, self.parallelism.workers(), |ci, local, buf| {
                 let mut cluster_stats = EnumStats::new(1);
@@ -659,7 +644,6 @@ pub(crate) fn run_pathenum_parallel<S: PathSink>(
     graph: &DiGraph,
     queries: &[PathQuery],
     order: SearchOrder,
-    mode: ExpansionMode,
     parallelism: Parallelism,
     sink: &mut S,
 ) -> EnumStats {
@@ -671,7 +655,7 @@ pub(crate) fn run_pathenum_parallel<S: PathSink>(
     }
     let start = Instant::now();
     let clusters: Vec<Vec<QueryId>> = (0..queries.len()).map(|q| vec![q]).collect();
-    let per_query = PathEnum::new(order).with_mode(mode);
+    let per_query = PathEnum::new(order);
     let (results, num_shards) =
         execute_sharded(&clusters, parallelism.workers(), |ci, local, buf| {
             let mut cluster_stats = EnumStats::new(1);
@@ -697,8 +681,6 @@ pub(crate) fn run_pathenum_parallel<S: PathSink>(
 pub struct ParallelBatchEnum {
     /// Neighbour expansion order.
     pub order: SearchOrder,
-    /// Half-search expansion mechanics (frontier engine vs recursive oracle).
-    pub mode: ExpansionMode,
     /// Clustering threshold γ.
     pub gamma: f64,
     /// Worker thread count.
@@ -718,7 +700,6 @@ impl Default for ParallelBatchEnum {
     fn default() -> Self {
         ParallelBatchEnum {
             order: SearchOrder::default(),
-            mode: ExpansionMode::default(),
             gamma: crate::batch_enum::DEFAULT_GAMMA,
             parallelism: Parallelism::Auto,
             split: SplitPolicy::Never,
@@ -731,29 +712,16 @@ impl ParallelBatchEnum {
     pub fn new(order: SearchOrder, gamma: f64, parallelism: Parallelism) -> Self {
         ParallelBatchEnum {
             order,
-            mode: ExpansionMode::default(),
             gamma,
             parallelism,
             split: SplitPolicy::Never,
         }
     }
 
-    /// Selects the half-search expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Returns the runner with the given intra-cluster split policy.
     pub fn with_split_policy(mut self, split: SplitPolicy) -> Self {
         self.split = split;
         self
-    }
-
-    /// Compat wrapper over [`ParallelBatchEnum::with_split_policy`]: `Some(c > 0)` caps
-    /// clusters at `c` queries, `Some(0)` and `None` never split.
-    pub fn with_max_cluster_size(self, cap: Option<usize>) -> Self {
-        self.with_split_policy(SplitPolicy::from_cap(cap))
     }
 
     /// Processes the batch, streaming results into `sink`.
@@ -815,7 +783,7 @@ impl ParallelBatchEnum {
         // worker keeps the cluster as a single group (it has already been formed by the
         // outer clustering) without re-clustering cost.
         let start = Instant::now();
-        let sequential = BatchEnum::new(self.order, 1.0).with_mode(self.mode);
+        let sequential = BatchEnum::new(self.order, 1.0);
         let (results, num_shards) =
             execute_sharded(&clusters, self.parallelism.workers(), |ci, local, buf| {
                 let cluster_queries_list: Vec<PathQuery> =
@@ -1053,7 +1021,7 @@ mod tests {
         let uncapped_stats = uncapped.run_batch(&g, &queries, &mut sink);
         assert_eq!(sink.counts(), reference);
 
-        let capped = uncapped.with_max_cluster_size(Some(2));
+        let capped = uncapped.with_split_policy(SplitPolicy::Cap(2));
         let mut sink = CountSink::new(queries.len());
         let capped_stats = capped.run_batch(&g, &queries, &mut sink);
         assert_eq!(sink.counts(), reference, "splitting must be lossless");
@@ -1062,13 +1030,6 @@ mod tests {
             "a cap can only increase the cluster count"
         );
         assert!(capped_stats.num_clusters >= queries.len() / 2);
-
-        // A zero cap means "no cap".
-        assert_eq!(
-            capped.with_max_cluster_size(Some(0)).split,
-            SplitPolicy::Never
-        );
-        assert_eq!(capped.with_max_cluster_size(None).split, SplitPolicy::Never);
         assert_eq!(capped.split, SplitPolicy::Cap(2));
         assert_eq!(ParallelBatchEnum::default().split, SplitPolicy::Never);
     }

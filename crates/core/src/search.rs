@@ -6,7 +6,7 @@
 //! is only worth extending when `l + 1 + dist(v'', anchor) ≤ k`, where the anchor is the
 //! query target for a forward search and the query source for a backward search.
 
-use crate::buffers::{LevelRun, SearchBuffers};
+use crate::buffers::SearchBuffers;
 use crate::path::PathSet;
 use crate::query::PathQuery;
 use crate::search_order::SearchOrder;
@@ -14,40 +14,6 @@ use crate::sink::SinkFlow;
 use crate::stats::SearchCounters;
 use hcsp_graph::{DiGraph, Direction, VertexId};
 use hcsp_index::{AnchorDistances, BatchIndex};
-use serde::{Deserialize, Serialize};
-
-/// How the half search walks the prefix tree.
-///
-/// Both modes visit exactly the same prefixes in exactly the same order with exactly the
-/// same counter increments — they are byte-identical by contract (pinned by
-/// `tests/prop_frontier.rs`). They differ only in mechanics and therefore speed:
-///
-/// * [`ExpansionMode::Recursive`] — the original one-vertex-at-a-time DFS; one call frame
-///   per open level, per-edge anchor lookup through the index root table, per-expansion
-///   sort-key derivation. Kept as the oracle the frontier engine is validated against.
-/// * [`ExpansionMode::Frontier`] — iterative batch-DFS over flat level runs in the
-///   candidate arena: the anchor's distance map is resolved once per traversal, a whole
-///   adjacency segment is filtered in one contiguous pass (zipping the CSR neighbour
-///   slice with its inline degree array), and the `DistanceThenDegree` sort key is taken
-///   from that pass instead of re-derived per candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ExpansionMode {
-    /// Recursive one-vertex-at-a-time DFS (the validation oracle).
-    Recursive,
-    /// Iterative frontier-at-a-time expansion over the flat candidate arena.
-    #[default]
-    Frontier,
-}
-
-impl ExpansionMode {
-    /// Human-readable label used by experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExpansionMode::Recursive => "recursive",
-            ExpansionMode::Frontier => "frontier",
-        }
-    }
-}
 
 /// Shared, immutable context of one half search.
 pub struct SearchContext<'a> {
@@ -57,25 +23,16 @@ pub struct SearchContext<'a> {
     pub index: &'a BatchIndex,
     /// Neighbour expansion order (plain vs "+" variants).
     pub order: SearchOrder,
-    /// Prefix-tree walking mechanics (recursive oracle vs frontier engine).
-    pub mode: ExpansionMode,
 }
 
 impl<'a> SearchContext<'a> {
-    /// Creates a context with the default [`ExpansionMode`].
+    /// Creates a context.
     pub fn new(graph: &'a DiGraph, index: &'a BatchIndex, order: SearchOrder) -> Self {
         SearchContext {
             graph,
             index,
             order,
-            mode: ExpansionMode::default(),
         }
-    }
-
-    /// Selects the expansion mode (builder style).
-    pub fn with_mode(mut self, mode: ExpansionMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Enumerates every simple prefix of the half search of `query` in direction `dir`
@@ -145,29 +102,21 @@ impl<'a> SearchContext<'a> {
         F: FnMut(&[VertexId]) -> SinkFlow,
     {
         let root = query.root(dir);
-        let anchor = query.anchor(dir);
         let budget = query.budget(dir);
         let hop_limit = query.hop_limit;
         buffers.begin_traversal(self.graph);
         buffers.stack.push(root);
         buffers.marks.mark(root);
-        match self.mode {
-            ExpansionMode::Recursive => {
-                let anchor_dist = self.index.anchor_view(dir, anchor);
-                self.extend_prefix(
-                    buffers,
-                    dir,
-                    &anchor_dist,
-                    budget,
-                    hop_limit,
-                    &mut visit,
-                    counters,
-                )
-            }
-            ExpansionMode::Frontier => self.extend_frontier(
-                buffers, dir, anchor, budget, hop_limit, &mut visit, counters,
-            ),
-        }
+        let anchor_dist = self.index.anchor_view(dir, query.anchor(dir));
+        self.extend_prefix(
+            buffers,
+            dir,
+            &anchor_dist,
+            budget,
+            hop_limit,
+            &mut visit,
+            counters,
+        )
     }
 
     /// Recursive prefix extension. `buffers.stack` holds the current prefix (root first),
@@ -257,139 +206,6 @@ impl<'a> SearchContext<'a> {
         buffers.candidates.truncate(level_start);
         buffers.cand_keys.truncate(level_start);
         SinkFlow::Continue
-    }
-
-    /// Iterative frontier-at-a-time prefix extension: the explicit-stack form of
-    /// [`SearchContext::extend_prefix`], byte-identical in visit order and counters.
-    ///
-    /// `buffers.levels` replaces the recursion stack: each [`LevelRun`] owns one
-    /// contiguous candidate range of the arena, descending pushes a run, and exhausting
-    /// one truncates the arena back and backtracks the prefix. The anchor's sparse
-    /// distance map is resolved *once* here and probed directly inside the fill pass, so
-    /// the per-edge cost is a map probe plus two sequential array reads (CSR targets +
-    /// inline degrees) instead of a root binary search and an offset gather. A
-    /// non-`Continue` verdict from `visit` returns immediately; like the recursive
-    /// engine, the arena and level stack are left dirty and repaired by the next
-    /// [`SearchBuffers::begin_traversal`](crate::buffers::SearchBuffers).
-    #[allow(clippy::too_many_arguments)]
-    fn extend_frontier<F>(
-        &self,
-        buffers: &mut SearchBuffers,
-        dir: Direction,
-        anchor: VertexId,
-        budget: u32,
-        hop_limit: u32,
-        visit: &mut F,
-        counters: &mut SearchCounters,
-    ) -> SinkFlow
-    where
-        F: FnMut(&[VertexId]) -> SinkFlow,
-    {
-        let anchor_dist = self.index.anchor_view(dir, anchor);
-        counters.expanded_vertices += 1;
-        let flow = visit(&buffers.stack);
-        if !flow.is_continue() {
-            return flow;
-        }
-        if budget == 0 {
-            return SinkFlow::Continue;
-        }
-        self.fill_level(buffers, dir, &anchor_dist, 0, hop_limit, counters);
-        loop {
-            let Some(top) = buffers.levels.last_mut() else {
-                return SinkFlow::Continue;
-            };
-            if top.cursor < top.end {
-                // Take the next candidate of the deepest open level and descend.
-                // lint:allow(panic-free-hot-path) cursor < end <= candidates.len(): runs index the arena
-                let w = buffers.candidates[top.cursor];
-                top.cursor += 1;
-                buffers.stack.push(w);
-                buffers.marks.mark(w);
-                counters.expanded_vertices += 1;
-                let flow = visit(&buffers.stack);
-                if !flow.is_continue() {
-                    return flow;
-                }
-                let current_hops = (buffers.stack.len() - 1) as u32;
-                if current_hops < budget {
-                    self.fill_level(
-                        buffers,
-                        dir,
-                        &anchor_dist,
-                        current_hops,
-                        hop_limit,
-                        counters,
-                    );
-                } else {
-                    // Budget leaf: backtrack in place without opening a level.
-                    buffers.marks.unmark(w);
-                    buffers.stack.pop();
-                }
-            } else {
-                // Run exhausted: reclaim its arena range and backtrack its owner. The
-                // root owns the outermost level but stays on the stack — the traversal
-                // is over once that level closes.
-                // lint:allow(panic-free-hot-path) levels.last_mut() above proved the stack non-empty
-                let run = buffers.levels.pop().expect("checked non-empty above");
-                buffers.candidates.truncate(run.start);
-                buffers.cand_keys.truncate(run.start);
-                if !buffers.levels.is_empty() {
-                    // lint:allow(panic-free-hot-path) a non-root level implies its owner is on the stack
-                    let owner = *buffers.stack.last().expect("prefix is never empty");
-                    buffers.marks.unmark(owner);
-                    buffers.stack.pop();
-                }
-            }
-        }
-    }
-
-    /// Fills one frontier level: filters the adjacency segment of the prefix tail in a
-    /// single contiguous pass and pushes the surviving run onto `buffers.levels`.
-    ///
-    /// The CSR neighbour slice and its parallel inline-degree slice are consumed as one
-    /// zipped sequential stream; the `(remaining, degree)` pair of every survivor is
-    /// recorded in `cand_keys` so the `DistanceThenDegree` arrangement sorts precomputed
-    /// keys instead of re-deriving them per candidate. The `(dist, degree, vertex)`
-    /// triple sort reproduces the recursive `SearchOrder::arrange` total order exactly.
-    fn fill_level(
-        &self,
-        buffers: &mut SearchBuffers,
-        dir: Direction,
-        anchor_dist: &AnchorDistances<'_>,
-        current_hops: u32,
-        hop_limit: u32,
-        counters: &mut SearchCounters,
-    ) {
-        // lint:allow(panic-free-hot-path) fill_level is only called with the root already pushed
-        let last = *buffers.stack.last().expect("prefix is never empty");
-        let start = buffers.candidates.len();
-        let new_len = current_hops + 1;
-        let neighbors = self.graph.neighbors(last, dir);
-        let degrees = self.graph.neighbor_degrees(last, dir);
-        for (&w, &deg) in neighbors.iter().zip(degrees) {
-            counters.scanned_edges += 1;
-            let remaining = anchor_dist.dist(w);
-            // Lemma 3.1: the prefix must still be completable within the hop limit.
-            if remaining == hcsp_index::INF || new_len.saturating_add(remaining) > hop_limit {
-                counters.pruned_edges += 1;
-                continue;
-            }
-            if buffers.marks.contains(w) {
-                continue;
-            }
-            buffers.candidates.push(w);
-            buffers.cand_keys.push((remaining, deg));
-        }
-        let end = buffers.candidates.len();
-        if self.order == SearchOrder::DistanceThenDegree && end - start > 1 {
-            buffers.sort_run_by_keys(start, end);
-        }
-        buffers.levels.push(LevelRun {
-            start,
-            cursor: start,
-            end,
-        });
     }
 }
 
@@ -594,83 +410,5 @@ mod tests {
         let prefixes = ctx.enumerate_half(&q, Direction::Backward, &mut counters);
         assert_eq!(prefixes.len(), 1);
         assert_eq!(prefixes.get(0), &[v(1)]);
-    }
-
-    #[test]
-    fn frontier_matches_recursive_byte_for_byte() {
-        // Same prefixes, same order, same counters — across graph shapes, hop limits,
-        // both search orders and both directions.
-        let cases: Vec<(DiGraph, PathQuery)> = vec![
-            (grid(4, 4), PathQuery::new(0u32, 15u32, 8)),
-            (complete(5), PathQuery::new(0u32, 1u32, 4)),
-            (layered_dag(3, 3), PathQuery::new(0u32, 9u32, 5)),
-            (path(6), PathQuery::new(0u32, 5u32, 5)),
-            (path(3), PathQuery::new(0u32, 1u32, 1)), // zero backward budget
-        ];
-        for (g, q) in &cases {
-            let index = index_for(g, q);
-            for order in [SearchOrder::VertexId, SearchOrder::DistanceThenDegree] {
-                for dir in [Direction::Forward, Direction::Backward] {
-                    let mut c_rec = SearchCounters::default();
-                    let mut c_fro = SearchCounters::default();
-                    let recursive = SearchContext::new(g, &index, order)
-                        .with_mode(ExpansionMode::Recursive)
-                        .enumerate_half(q, dir, &mut c_rec);
-                    let frontier = SearchContext::new(g, &index, order)
-                        .with_mode(ExpansionMode::Frontier)
-                        .enumerate_half(q, dir, &mut c_fro);
-                    assert_eq!(frontier, recursive, "query {q} order {order:?} dir {dir:?}");
-                    assert_eq!(c_fro, c_rec, "query {q} order {order:?} dir {dir:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_abort_matches_recursive_abort() {
-        // Aborting after N visited prefixes must observe the same prefixes, the same
-        // verdict and the same (smaller) counters in both modes, at every N.
-        let g = complete(5);
-        let q = PathQuery::new(0u32, 1u32, 4);
-        let index = index_for(&g, &q);
-        let total = {
-            let mut c = SearchCounters::default();
-            SearchContext::new(&g, &index, SearchOrder::VertexId)
-                .enumerate_half(&q, Direction::Forward, &mut c)
-                .len()
-        };
-        for stop_after in 1..=total {
-            let mut runs = Vec::new();
-            for mode in [ExpansionMode::Recursive, ExpansionMode::Frontier] {
-                let ctx = SearchContext::new(&g, &index, SearchOrder::VertexId).with_mode(mode);
-                let mut buffers = crate::buffers::SearchBuffers::for_graph(&g);
-                let mut counters = SearchCounters::default();
-                let mut seen: Vec<Vec<VertexId>> = Vec::new();
-                let flow = ctx.enumerate_half_with(
-                    &q,
-                    Direction::Forward,
-                    &mut counters,
-                    &mut buffers,
-                    |p| {
-                        seen.push(p.to_vec());
-                        if seen.len() == stop_after {
-                            SinkFlow::Stop
-                        } else {
-                            SinkFlow::Continue
-                        }
-                    },
-                );
-                assert_eq!(flow, SinkFlow::Stop);
-                runs.push((seen, counters));
-            }
-            assert_eq!(runs[0], runs[1], "abort after {stop_after} prefixes");
-        }
-    }
-
-    #[test]
-    fn expansion_mode_labels_and_default() {
-        assert_eq!(ExpansionMode::Recursive.label(), "recursive");
-        assert_eq!(ExpansionMode::Frontier.label(), "frontier");
-        assert_eq!(ExpansionMode::default(), ExpansionMode::Frontier);
     }
 }

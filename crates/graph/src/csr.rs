@@ -18,7 +18,7 @@ pub struct CsrAdjacency {
     targets: Vec<VertexId>,
     /// Degree (in this adjacency direction) of each entry of `targets`, kept parallel to
     /// it: `target_degrees[i] == degree(targets[i])`. The cache-conscious hot array of
-    /// the frontier filter pass — the `DistanceThenDegree` sort key reads the degree of
+    /// the DFS fill pass — the `DistanceThenDegree` sort key reads the degree of
     /// every surviving candidate, and reading it from the slice being scanned costs one
     /// sequential stream instead of a dependent `offsets[w] / offsets[w+1]` gather per
     /// neighbour.
@@ -135,7 +135,7 @@ impl CsrAdjacency {
     /// The degrees of `v`'s neighbours, parallel to [`CsrAdjacency::neighbors`]:
     /// `neighbor_degrees(v)[i] == degree(neighbors(v)[i])`.
     ///
-    /// One contiguous read per frontier fill pass; see the `target_degrees` field.
+    /// One contiguous read per DFS fill pass; see the `target_degrees` field.
     #[inline]
     pub fn neighbor_degrees(&self, v: VertexId) -> &[u32] {
         let start = self.offsets[v.index()] as usize;

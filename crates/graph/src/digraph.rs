@@ -171,7 +171,7 @@ impl DiGraph {
     /// Degrees of `v`'s neighbours in the given direction, parallel to
     /// [`DiGraph::neighbors`]: `neighbor_degrees(v, d)[i] == degree(neighbors(v, d)[i], d)`.
     ///
-    /// The frontier fill pass zips this with the neighbour slice so the
+    /// The half searches' fill pass zips this with the neighbour slice so the
     /// `DistanceThenDegree` sort key is one sequential read instead of a per-neighbour
     /// offset gather.
     #[inline]

@@ -4,7 +4,7 @@
 //! driver in `lib.rs` applies `// lint:allow` suppression afterwards, so the
 //! rules themselves stay oblivious to annotations. Single-file rules decide
 //! their own applicability from the (workspace-relative, `/`-separated) path;
-//! [`dead_counter`] is the one whole-workspace rule.
+//! [`counters`] (`dead-counter`) is the one whole-workspace rule.
 
 pub mod deprecated;
 pub mod durability;

@@ -12,7 +12,7 @@ use crate::lexer::Tok;
 use crate::scan::is_call;
 use crate::{Diagnostic, SourceFile};
 
-/// The enumeration hot path: frontier search, prefix concatenation, the arena
+/// The enumeration hot path: the half search, prefix concatenation, the arena
 /// buffers they allocate from, and the parallel work-splitting driver.
 const HOT_FILES: [&str; 4] = [
     "crates/core/src/search.rs",
