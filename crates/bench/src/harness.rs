@@ -12,8 +12,8 @@ use hcsp_core::materialize::materialize_batch;
 use hcsp_core::query::BatchSummary;
 use hcsp_core::similarity::{QueryNeighborhood, SimilarityMatrix};
 use hcsp_core::{
-    Algorithm, BatchEngine, CountSink, Engine, EnumStats, Parallelism, PathQuery, QuerySpec,
-    ResultMode, SearchOrder, ServiceStats, SplitPolicy, Stage,
+    Algorithm, BatchEngine, CountSink, Engine, EnumStats, PathQuery, QuerySpec, ResultMode,
+    SearchOrder, ServiceStats, SplitPolicy, Stage,
 };
 use hcsp_graph::sampling::sample_vertices;
 use hcsp_graph::DiGraph;
@@ -427,9 +427,10 @@ pub fn exp7_path_counts(config: &BenchConfig, ks: &[u32]) -> Table {
 /// counts and batch sizes (the data series behind `BENCH_parallel_scaling.json`).
 ///
 /// For every `dataset × batch size × thread count` combination the batch is executed
-/// `repeats` times on a fresh [`Engine`] via [`Engine::run_batch_parallel`] and the
-/// fastest run is reported (best-of-N suppresses scheduler noise, which matters for the
-/// CI regression gate; `threads = 1` is the sequential reference of the speedup column).
+/// `repeats` times as `Collect` specs on a fresh [`Engine`] via
+/// [`Engine::run_specs_parallel`] and the fastest run is reported (best-of-N suppresses
+/// scheduler noise, which matters for the CI regression gate; `threads = 1` is the
+/// sequential reference of the speedup column).
 /// The reported throughput includes index construction and clustering, i.e. it is
 /// end-to-end queries per second, and the result counts are cross-checked against the
 /// sequential engine — a scaling number from a lossy run would be worthless.
@@ -472,6 +473,7 @@ pub fn parallel_scaling(
             let engine_config = BatchEngine::default();
             let mut engine = Engine::new(graph.clone(), engine_config);
             let (reference_counts, _) = engine.run_counting(&queries);
+            let specs: Vec<QuerySpec> = queries.iter().map(|&q| QuerySpec::collect(q)).collect();
 
             let mut measured: Vec<(usize, f64, f64, usize, usize, usize)> = Vec::new();
             for &threads in thread_counts {
@@ -483,10 +485,13 @@ pub fn parallel_scaling(
                     let mut engine = Engine::new(graph.clone(), engine_config);
                     engine.set_parallel_split_policy(SplitPolicy::Auto);
                     let start = Instant::now();
-                    let run =
-                        engine.run_batch_parallel(&queries, Parallelism::Fixed(threads.max(1)));
+                    let run = engine.run_specs_parallel(&specs, threads.max(1));
                     seconds = seconds.min(start.elapsed().as_secs_f64());
-                    let counts: Vec<u64> = run.paths.iter().map(|p| p.len() as u64).collect();
+                    let counts: Vec<u64> = run
+                        .responses
+                        .iter()
+                        .map(|r| r.count().unwrap_or(0))
+                        .collect();
                     assert_eq!(counts, reference_counts, "parallel run must be lossless");
                     outcome = Some(run);
                 }
@@ -495,7 +500,8 @@ pub fn parallel_scaling(
                     threads.max(1),
                     seconds,
                     outcome.stats.sharing_ratio(),
-                    outcome.total(),
+                    // Every repeat's counts were checked against the reference above.
+                    reference_counts.iter().sum::<u64>() as usize,
                     outcome.stats.num_clusters,
                     outcome.stats.num_shards,
                 ));

@@ -152,6 +152,7 @@ impl BatchEnum {
         // Stage 3: IdentifySubquery.
         let start = Instant::now();
         let cluster_queries_list: Vec<(QueryId, PathQuery)> =
+            // lint:allow(panic-free-hot-path) cluster ids are positions in `queries`: clusters partition the batch
             cluster.iter().map(|&qid| (qid, queries[qid])).collect();
         let mut sharing = SharingGraph::new();
         let outcome = detect_cluster(graph, index, &cluster_queries_list, &mut sharing);
@@ -175,9 +176,11 @@ impl BatchEnum {
             } else {
                 let mut needed = vec![false; sharing.len()];
                 for &node_id in order.iter().rev() {
+                    // lint:allow(panic-free-hot-path) node_id < sharing.len() = needed.len(): the order lists Ψ's nodes
                     needed[node_id] = match *sharing.node(node_id) {
                         QueryNode::Full(qid) => sink.remaining_quota(qid) != Some(0),
                         QueryNode::Hcs(_) => {
+                            // lint:allow(panic-free-hot-path) users are Ψ node ids < sharing.len() = needed.len()
                             sharing.users(node_id).iter().any(|&(user, _)| needed[user])
                         }
                     };
@@ -193,6 +196,7 @@ impl BatchEnum {
         let mut batch_flow = SinkFlow::Continue;
         for &node_id in &order {
             match *sharing.node(node_id) {
+                // lint:allow(panic-free-hot-path) node_id < sharing.len() = needed.len(): the order lists Ψ's nodes
                 QueryNode::Hcs(hcs) if needed[node_id] => {
                     let paths = self.materialize_node(
                         graph,
@@ -200,6 +204,7 @@ impl BatchEnum {
                         &sharing,
                         node_id,
                         hcs,
+                        // lint:allow(panic-free-hot-path) anchor_slacks returns one entry per Ψ node
                         &slacks[node_id],
                         &cache,
                         &mut counters,
@@ -207,11 +212,13 @@ impl BatchEnum {
                     );
                     cache.insert(node_id, paths, sharing.users(node_id).len());
                 }
+                // lint:allow(panic-free-hot-path) node_id < sharing.len() = needed.len(): the order lists Ψ's nodes
                 QueryNode::Full(qid) if needed[node_id] => {
                     let flow = self.answer_query(
                         &sharing,
                         node_id,
                         qid,
+                        // lint:allow(panic-free-hot-path) Full nodes carry the cluster's ids, positions in `queries`
                         &queries[qid],
                         &cache,
                         sink,
@@ -319,6 +326,7 @@ impl BatchEnum {
         if current_hops >= hcs.budget {
             return;
         }
+        // lint:allow(panic-free-hot-path) materialize_node pushes the root first; recursion pushes before and pops after each call
         let last = *buffers.stack.last().expect("prefix never empty");
         let remaining_after = hcs.budget - current_hops - 1;
 
@@ -348,10 +356,12 @@ impl BatchEnum {
         }
 
         for i in level_start..level_end {
+            // lint:allow(panic-free-hot-path) i < level_end <= candidates.len(): deeper levels truncate back to their own start >= level_end
             let w = buffers.candidates[i];
             // Splice the cached results of a provider rooted at w when its budget covers
             // everything this prefix still needs (Alg. 4 lines 22-23).
             if let Ok(slot) = providers_by_root.binary_search_by_key(&w, |&(root, _, _)| root) {
+                // lint:allow(panic-free-hot-path) slot is an Ok index of binary_search over providers_by_root
                 let (_, provider, provider_query) = providers_by_root[slot];
                 if provider_query.covers_budget(remaining_after) {
                     if let Some(cached) = cache.get(provider) {

@@ -8,10 +8,7 @@
 use crate::basic_enum::BasicEnum;
 use crate::batch_enum::{BatchEnum, DEFAULT_GAMMA};
 use crate::epoch::{Epoch, EpochAdvance};
-use crate::parallel::{
-    run_pathenum_parallel, run_specs_parallel_pathenum, run_specs_parallel_with_index,
-    ParallelBasicEnum, ParallelBatchEnum, Parallelism, SplitPolicy,
-};
+use crate::parallel::{run_specs_parallel_pathenum, run_specs_parallel_with_index, SplitPolicy};
 use crate::path::PathSet;
 use crate::pathenum::PathEnum;
 use crate::query::{BatchSummary, PathQuery};
@@ -531,10 +528,11 @@ impl Engine {
         self.index_root_cap
     }
 
-    /// Selects the intra-cluster work-splitting policy of the *parallel* run paths (see
-    /// [`ParallelBatchEnum::split`](ParallelBatchEnum)): oversized clusters split into
-    /// bounded sub-clusters, trading cross-split sharing for parallel slack and a
-    /// bounded shared cache. [`SplitPolicy::Never`] (default) never splits; sequential
+    /// Selects the intra-cluster work-splitting policy of [`Engine::run_specs_parallel`]
+    /// (see [`SplitPolicy`]): oversized clusters split into bounded sub-clusters, trading
+    /// cross-split sharing for parallel slack and a bounded shared cache. Any split keeps
+    /// every query's results, but the per-query path order then matches a sequential run
+    /// over the split clusters. [`SplitPolicy::Never`] (default) never splits; sequential
     /// runs are unaffected either way.
     pub fn set_parallel_split_policy(&mut self, split: SplitPolicy) {
         self.parallel_split = split;
@@ -543,17 +541,6 @@ impl Engine {
     /// The configured intra-cluster split policy.
     pub fn parallel_split_policy(&self) -> SplitPolicy {
         self.parallel_split
-    }
-
-    /// Compat wrapper over [`Engine::set_parallel_split_policy`]: `Some(c > 0)` caps
-    /// clusters at `c` queries, `Some(0)` and `None` never split.
-    pub fn set_parallel_cluster_cap(&mut self, cap: Option<usize>) {
-        self.parallel_split = SplitPolicy::from_cap(cap);
-    }
-
-    /// The configured parallel cluster cap, if the policy is a fixed cap.
-    pub fn parallel_cluster_cap(&self) -> Option<usize> {
-        self.parallel_split.cap()
     }
 
     /// Caps the net edge delta one [`Engine::apply_updates`] call maintains
@@ -809,67 +796,6 @@ impl Engine {
         }
     }
 
-    /// Runs one batch on the cluster-sharded parallel executor, streaming every result
-    /// path into a caller-provided sink.
-    ///
-    /// The cached index is prepared exactly as in [`Engine::run_with_sink`]; cluster
-    /// evaluation then fans out over `parallelism` worker threads (see
-    /// [`crate::parallel`]). Results are merged deterministically, so the delivered paths
-    /// — per query, including order — are identical to the sequential run.
-    /// `Parallelism::Fixed(1)` degenerates to a single worker.
-    pub fn run_parallel_with_sink<S: PathSink>(
-        &mut self,
-        queries: &[PathQuery],
-        parallelism: Parallelism,
-        sink: &mut S,
-    ) -> EnumStats {
-        if queries.is_empty() {
-            sink.finish();
-            return EnumStats::new(0);
-        }
-        let order = self.config.algorithm().search_order();
-        match self.config.algorithm() {
-            // The real-time baseline: per-query index by definition, nothing cached; the
-            // per-query index builds simply spread over the workers.
-            Algorithm::PathEnum => {
-                run_pathenum_parallel(&self.graph, queries, order, parallelism, sink)
-            }
-            algorithm => {
-                let summary = BatchSummary::of(queries);
-                let prep_time = self.ensure_index(&summary);
-                let index = self.index.as_ref().expect("ensured above");
-                let mut stats = match algorithm {
-                    Algorithm::BasicEnum | Algorithm::BasicEnumPlus => ParallelBasicEnum::new(
-                        order,
-                        parallelism,
-                    )
-                    .run_batch_with_index(&self.graph, index, queries, sink),
-                    _ => ParallelBatchEnum::new(order, self.config.gamma(), parallelism)
-                        .with_split_policy(self.parallel_split)
-                        .run_batch_with_index(&self.graph, index, queries, sink),
-                };
-                stats.add_stage(Stage::BuildIndex, prep_time);
-                stats
-            }
-        }
-    }
-
-    /// Runs one batch on `threads` worker threads and collects every result path.
-    ///
-    /// Lossless with respect to [`Engine::run`]: same paths per query, same order.
-    pub fn run_batch_parallel(
-        &mut self,
-        queries: &[PathQuery],
-        parallelism: Parallelism,
-    ) -> BatchOutcome {
-        let mut sink = CollectSink::new(queries.len());
-        let stats = self.run_parallel_with_sink(queries, parallelism, &mut sink);
-        BatchOutcome {
-            paths: sink.into_inner(),
-            stats,
-        }
-    }
-
     /// Runs one batch and collects every result path.
     pub fn run(&mut self, queries: &[PathQuery]) -> BatchOutcome {
         let mut sink = CollectSink::new(queries.len());
@@ -925,21 +851,18 @@ impl Engine {
         }
     }
 
-    /// [`Engine::run_specs`] on the cluster-sharded parallel executor.
+    /// [`Engine::run_specs`] on the cluster-sharded parallel executor with `threads`
+    /// workers (0 is read as 1) — the one parallel entry point. A plain batch runs as
+    /// [`QuerySpec::collect`] specs.
     ///
     /// Responses are identical to the sequential [`Engine::run_specs`] — same paths, same
-    /// order, same counts — for the same reason parallel plain batches are lossless:
-    /// every query lives in exactly one similarity cluster, clusters are evaluated by the
-    /// same sequential pipeline inside a worker (including each query's early
-    /// termination), and results merge in deterministic cluster order. The configured
-    /// [`Engine::set_parallel_cluster_cap`] applies as in [`Engine::run_parallel_with_sink`]
-    /// (a cap trades the byte-identical order guarantee for parallel slack, exactly as
-    /// documented there).
-    pub fn run_specs_parallel(
-        &mut self,
-        specs: &[QuerySpec],
-        parallelism: Parallelism,
-    ) -> SpecOutcome {
+    /// order, same counts: every query lives in exactly one similarity cluster, clusters
+    /// are evaluated by the same sequential pipeline inside a worker (including each
+    /// query's early termination), and results merge in deterministic cluster order. A
+    /// [`Engine::set_parallel_split_policy`] other than [`SplitPolicy::Never`] trades that
+    /// order for parallel slack: counts stay the same, but a query's paths may come in
+    /// another order (so a `FirstK` answer may hold different paths).
+    pub fn run_specs_parallel(&mut self, specs: &[QuerySpec], threads: usize) -> SpecOutcome {
         if specs.is_empty() {
             return SpecOutcome {
                 responses: Vec::new(),
@@ -950,7 +873,7 @@ impl Engine {
         match self.config.algorithm() {
             Algorithm::PathEnum => {
                 let (responses, stats) =
-                    run_specs_parallel_pathenum(&self.graph, specs, order, parallelism);
+                    run_specs_parallel_pathenum(&self.graph, specs, order, threads);
                 SpecOutcome { responses, stats }
             }
             algorithm => {
@@ -976,7 +899,7 @@ impl Engine {
                     } else {
                         SplitPolicy::Never
                     },
-                    parallelism,
+                    threads,
                 );
                 stats.add_stage(Stage::BuildIndex, prep_time);
                 stats.num_queries = specs.len();
@@ -995,6 +918,17 @@ mod tests {
     use super::*;
     use crate::bruteforce::enumerate_reference;
     use hcsp_graph::generators::regular::{complete, grid};
+
+    /// Runs `queries` as `Collect` specs on `threads` workers and returns the paths.
+    fn run_parallel(engine: &mut Engine, queries: &[PathQuery], threads: usize) -> Vec<PathSet> {
+        let specs: Vec<QuerySpec> = queries.iter().map(|&q| QuerySpec::collect(q)).collect();
+        engine
+            .run_specs_parallel(&specs, threads)
+            .responses
+            .into_iter()
+            .map(|r| r.into_paths().expect("collect specs answer with paths"))
+            .collect()
+    }
 
     #[test]
     fn all_algorithms_agree_on_counts() {
@@ -1262,14 +1196,14 @@ mod tests {
             PathQuery::new(4u32, 11u32, 5),
         ];
         let mut engine = Engine::new(g, BatchEngine::default());
-        engine.run_batch_parallel(&queries, Parallelism::Fixed(2));
+        run_parallel(&mut engine, &queries, 2);
         engine.apply_updates(&[
             GraphUpdate::insert(0u32, 15u32),
             GraphUpdate::delete(4u32, 5u32),
         ]);
-        let parallel = engine.run_batch_parallel(&queries, Parallelism::Fixed(2));
+        let parallel = run_parallel(&mut engine, &queries, 2);
         let mut fresh = Engine::new(engine.graph_arc(), BatchEngine::default());
-        assert_eq!(parallel.paths, fresh.run(&queries).paths);
+        assert_eq!(parallel, fresh.run(&queries).paths);
     }
 
     #[test]
@@ -1320,7 +1254,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_parallel_is_lossless_for_every_algorithm() {
+    fn run_specs_parallel_collect_is_lossless_for_every_algorithm() {
         let g = grid(4, 4);
         let queries = vec![
             PathQuery::new(0u32, 15u32, 6),
@@ -1328,15 +1262,24 @@ mod tests {
             PathQuery::new(0u32, 14u32, 5),
             PathQuery::new(4u32, 11u32, 5),
         ];
+        let specs: Vec<QuerySpec> = queries.iter().map(|&q| QuerySpec::collect(q)).collect();
         for algorithm in Algorithm::ALL {
             let mut sequential = Engine::with_algorithm(g.clone(), algorithm);
             let expected = sequential.run(&queries);
-            for workers in [1, 2, 4] {
+            let expected_specs = sequential.run_specs(&specs);
+            for workers in [1, 2, 4, 8] {
                 let mut engine = Engine::with_algorithm(g.clone(), algorithm);
-                let outcome = engine.run_batch_parallel(&queries, Parallelism::Fixed(workers));
+                let outcome = engine.run_specs_parallel(&specs, workers);
                 // Same paths per query, same order: byte-identical to sequential.
                 assert_eq!(
-                    outcome.paths, expected.paths,
+                    outcome.responses, expected_specs.responses,
+                    "{algorithm} with {workers} workers"
+                );
+                for (response, paths) in outcome.responses.iter().zip(&expected.paths) {
+                    assert_eq!(response.paths(), Some(paths), "{algorithm}");
+                }
+                assert_eq!(
+                    outcome.stats.counters, expected.stats.counters,
                     "{algorithm} with {workers} workers"
                 );
             }
@@ -1344,7 +1287,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cluster_cap_keeps_counts_lossless() {
+    fn parallel_split_policy_keeps_counts_lossless() {
         let g = grid(4, 4);
         let queries = vec![
             PathQuery::new(0u32, 15u32, 6),
@@ -1355,35 +1298,36 @@ mod tests {
         let mut engine = Engine::new(g.clone(), BatchEngine::default());
         let expected = engine.run(&queries);
         let mut capped = Engine::new(g, BatchEngine::default());
-        capped.set_parallel_cluster_cap(Some(1));
-        assert_eq!(capped.parallel_cluster_cap(), Some(1));
-        let outcome = capped.run_batch_parallel(&queries, Parallelism::Fixed(2));
-        let expected_counts: Vec<usize> = expected.paths.iter().map(PathSet::len).collect();
-        let counts: Vec<usize> = outcome.paths.iter().map(PathSet::len).collect();
-        assert_eq!(counts, expected_counts);
-        capped.set_parallel_cluster_cap(Some(0));
-        assert_eq!(capped.parallel_cluster_cap(), None);
         assert_eq!(capped.parallel_split_policy(), SplitPolicy::Never);
+        capped.set_parallel_split_policy(SplitPolicy::Cap(1));
+        assert_eq!(capped.parallel_split_policy(), SplitPolicy::Cap(1));
+        let outcome = run_parallel(&mut capped, &queries, 2);
+        let expected_counts: Vec<usize> = expected.paths.iter().map(PathSet::len).collect();
+        let counts: Vec<usize> = outcome.iter().map(PathSet::len).collect();
+        assert_eq!(counts, expected_counts);
         // The Auto policy stays lossless on counts too.
         capped.set_parallel_split_policy(SplitPolicy::Auto);
         assert_eq!(capped.parallel_split_policy(), SplitPolicy::Auto);
-        assert_eq!(capped.parallel_cluster_cap(), None);
-        let auto = capped.run_batch_parallel(&queries, Parallelism::Fixed(2));
-        let auto_counts: Vec<usize> = auto.paths.iter().map(PathSet::len).collect();
+        let auto = run_parallel(&mut capped, &queries, 2);
+        let auto_counts: Vec<usize> = auto.iter().map(PathSet::len).collect();
         assert_eq!(auto_counts, expected_counts);
     }
 
     #[test]
-    fn run_batch_parallel_reuses_the_cached_index() {
+    fn run_specs_parallel_reuses_the_cached_index() {
         let g = grid(4, 4);
         let mut engine = Engine::new(g, BatchEngine::default());
-        engine.run_batch_parallel(&[PathQuery::new(0u32, 15u32, 6)], Parallelism::Fixed(2));
+        run_parallel(&mut engine, &[PathQuery::new(0u32, 15u32, 6)], 2);
         assert_eq!(engine.index_reuse().rebuilds, 1);
         // Same shape again: pure hit, parallel or not.
-        engine.run_batch_parallel(&[PathQuery::new(0u32, 15u32, 5)], Parallelism::Fixed(2));
+        run_parallel(&mut engine, &[PathQuery::new(0u32, 15u32, 5)], 2);
         assert_eq!(engine.index_reuse().hits, 1);
-        let outcome = engine.run_batch_parallel(&[], Parallelism::Fixed(2));
-        assert_eq!(outcome.total(), 0);
+        assert!(run_parallel(&mut engine, &[], 2).is_empty());
+        assert_eq!(
+            engine.index_reuse().hits,
+            1,
+            "an empty batch does no index work"
+        );
     }
 
     #[test]
@@ -1520,7 +1464,7 @@ mod tests {
             let expected = sequential.run_specs(&specs);
             for workers in [1, 2, 4] {
                 let mut engine = Engine::with_algorithm(g.clone(), algorithm);
-                let outcome = engine.run_specs_parallel(&specs, Parallelism::Fixed(workers));
+                let outcome = engine.run_specs_parallel(&specs, workers);
                 assert_eq!(
                     outcome.responses, expected.responses,
                     "{algorithm} with {workers} workers"
@@ -1542,10 +1486,7 @@ mod tests {
         assert_eq!(outcome.stats.counters.expanded_vertices, 0);
         // Empty spec batches are no-ops.
         assert!(engine.run_specs(&[]).responses.is_empty());
-        assert!(engine
-            .run_specs_parallel(&[], Parallelism::Fixed(2))
-            .responses
-            .is_empty());
+        assert!(engine.run_specs_parallel(&[], 2).responses.is_empty());
     }
 
     #[test]

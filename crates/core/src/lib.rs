@@ -75,7 +75,7 @@ pub use engine::{
     DEFAULT_UPDATE_REFRESH_CAP,
 };
 pub use epoch::{DurabilitySink, Epoch, EpochAdvance, EpochPublisher, MAX_EPOCH_DELTAS};
-pub use parallel::{ParallelBasicEnum, ParallelBatchEnum, Parallelism, SplitPolicy};
+pub use parallel::SplitPolicy;
 pub use path::{Path, PathSet};
 pub use pathenum::PathEnum;
 pub use query::{BatchSummary, HcsQuery, PathQuery, QueryId};

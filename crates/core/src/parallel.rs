@@ -1,4 +1,4 @@
-//! Cluster-sharded parallel batch execution.
+//! Cluster-sharded parallel batch execution, behind [`crate::Engine::run_specs_parallel`].
 //!
 //! The paper's Challenges section notes that a batch could simply be processed "using the
 //! state-of-the-art HC-s-t path enumeration algorithm sequentially or deploy more servers
@@ -8,10 +8,12 @@
 //! (the output of [`crate::clustering`]) are the natural parallel unit — queries in
 //! different clusters share nothing, so clusters parallelise embarrassingly while every
 //! cluster still runs the full shared pipeline (detection + topological enumeration).
+//! The unsharing algorithms run the same scheduler with one query per cluster.
 //!
 //! ## Execution model
 //!
-//! 1. The batch is indexed and clustered exactly as in the sequential algorithm.
+//! 1. The batch is indexed and clustered exactly as in the sequential algorithm, then
+//!    the configured [`SplitPolicy`] may split oversized clusters.
 //! 2. Clusters are packed into **shards** (longest-processing-time-first over the cluster
 //!    sizes), the steal unit of the scheduler. More shards than workers keeps stealing
 //!    granular; packing the big clusters first keeps the shards balanced.
@@ -19,28 +21,28 @@
 //!    each worker owns a deque seeded round-robin, pops its own front, and steals from
 //!    the back of other workers' deques when it runs dry.
 //! 4. Every worker owns one reusable [`SearchBuffers`] (the allocation-free hot path) and
-//!    buffers each cluster's results locally; after the pool joins, per-cluster results
-//!    are **merged in cluster order**, so the paths delivered per query — and their order
-//!    — are byte-identical to the sequential run, regardless of worker count or
-//!    scheduling. Counter merges are likewise ordered, making the reported `Stats`
-//!    deterministic. Stage timings: `BuildIndex`, `ClusterQuery` and `Enumeration` are
-//!    wall-clock spans of the calling thread (`Enumeration` covers the whole parallel
-//!    region, so speedup shows up there), while `IdentifySubquery` is the CPU-side total
-//!    summed over clusters, mirroring how the sequential run accumulates it.
+//!    answers each cluster into a cluster-local [`SpecSink`], so a query's quota
+//!    (`Exists`, `FirstK`, path budgets) stops its search inside the worker. After the
+//!    pool joins, the typed per-cluster responses are **merged in cluster order**, so
+//!    every response — paths per query and their order, counts — is byte-identical to
+//!    the sequential run, regardless of worker count or scheduling. Counter merges are
+//!    likewise ordered, making the reported `Stats` deterministic. Stage timings:
+//!    `BuildIndex`, `ClusterQuery` and `Enumeration` are wall-clock spans of the calling
+//!    thread (`Enumeration` covers the whole parallel region, so speedup shows up there),
+//!    while `IdentifySubquery` is the CPU-side total summed over clusters, mirroring how
+//!    the sequential run accumulates it.
 //!
-//! The per-cluster results are buffered in memory before the merge; for count-only
-//! workloads over astronomically large result sets prefer the sequential runner or
-//! smaller micro-batches.
+//! The per-cluster responses are buffered in memory before the merge; `Count` specs keep
+//! only a counter, so count-only workloads stay small.
 
-use crate::basic_enum::BasicEnum;
 use crate::batch_enum::BatchEnum;
 use crate::buffers::SearchBuffers;
 use crate::clustering::cluster_queries;
 use crate::pathenum::PathEnum;
-use crate::query::{BatchSummary, PathQuery, QueryId};
+use crate::query::{PathQuery, QueryId};
 use crate::search_order::SearchOrder;
 use crate::similarity::{QueryNeighborhood, SimilarityMatrix};
-use crate::sink::{CollectSink, PathSink, SinkFlow};
+use crate::sink::PathSink;
 use crate::spec::{QueryResponse, QuerySpec, SpecSink};
 use crate::stats::{EnumStats, Stage};
 use hcsp_graph::DiGraph;
@@ -52,30 +54,9 @@ use std::time::Instant;
 /// How many shards each worker's deque is seeded with (steal granularity).
 const SHARDS_PER_WORKER: usize = 4;
 
-/// How many worker threads a parallel runner uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Use the number of available CPU cores (as reported by the standard library).
-    #[default]
-    Auto,
-    /// Use exactly this many workers (values of 0 are treated as 1).
-    Fixed(usize),
-}
-
-impl Parallelism {
-    /// Resolves to a concrete worker count.
-    pub fn workers(self) -> usize {
-        match self {
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Parallelism::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-/// How the parallel runners split oversized similarity clusters — the intra-cluster
-/// work-splitting knob.
+/// How parallel runs split oversized similarity clusters — the one intra-cluster
+/// work-splitting knob, set with
+/// [`Engine::set_parallel_split_policy`](crate::Engine::set_parallel_split_policy).
 ///
 /// A similarity cluster is both the sharing unit and the parallel unit: queries in one
 /// cluster share computation, clusters parallelise embarrassingly. Dense graphs (or a
@@ -100,24 +81,6 @@ pub enum SplitPolicy {
 }
 
 impl SplitPolicy {
-    /// Maps an optional cluster cap (the knob of
-    /// [`Engine::set_parallel_cluster_cap`](crate::Engine::set_parallel_cluster_cap)):
-    /// `Some(c > 0)` caps at `c`, `Some(0)` and `None` never split.
-    pub fn from_cap(cap: Option<usize>) -> Self {
-        match cap.filter(|&c| c > 0) {
-            Some(c) => SplitPolicy::Cap(c),
-            None => SplitPolicy::Never,
-        }
-    }
-
-    /// The explicit cap, when the policy is a fixed one (`Cap(0)` reads as `None`).
-    pub fn cap(self) -> Option<usize> {
-        match self {
-            SplitPolicy::Cap(c) if c > 0 => Some(c),
-            _ => None,
-        }
-    }
-
     /// Applies the policy to freshly formed clusters, given the resolved worker count
     /// and the batch size.
     fn apply(
@@ -189,11 +152,9 @@ fn split_clusters(clusters: Vec<Vec<QueryId>>, cap: usize) -> Vec<Vec<QueryId>> 
         .collect()
 }
 
-/// The similarity-clustering front of every sharing-mode parallel run: neighbourhoods
-/// from the index, pairwise similarity, γ-threshold clustering, then the configured
-/// [`SplitPolicy`]. One helper on purpose — plain-batch and spec-mode parallel
-/// execution must cluster identically, or their "same clusters as sequential"
-/// equivalences silently diverge.
+/// The similarity-clustering front of a sharing parallel run: neighbourhoods from the
+/// index, pairwise similarity, γ-threshold clustering (the same clusters as the
+/// sequential `BatchEnum`), then the configured [`SplitPolicy`].
 fn cluster_with_policy(
     index: &BatchIndex,
     queries: &[PathQuery],
@@ -247,11 +208,6 @@ impl ShardDeques {
     }
 }
 
-/// One cluster's buffered outcome: its index in the batch's cluster list, the locally
-/// collected per-query paths (offsets follow the cluster's query order), and the stats of
-/// evaluating it.
-type ClusterResult = (usize, CollectSink, EnumStats);
-
 /// Runs `exec` once per cluster across a work-stealing worker pool and returns the
 /// per-cluster results **sorted by cluster index** — the deterministic merge order —
 /// together with the number of shards the scheduler planned (the *effective* parallel
@@ -261,8 +217,7 @@ type ClusterResult = (usize, CollectSink, EnumStats);
 /// `make_sink` builds the cluster's local sink (query ids are cluster offsets, not batch
 /// ids); `exec` receives the cluster index, that sink, and the worker's reusable
 /// [`SearchBuffers`], and must behave identically to the sequential evaluation of the
-/// cluster. Generic over the sink type so the collect-everything runs and the
-/// early-terminating [`SpecSink`] runs share one scheduler.
+/// cluster.
 fn execute_sharded_with<L, M, F>(
     clusters: &[Vec<QueryId>],
     workers: usize,
@@ -312,79 +267,9 @@ where
     (results, num_shards)
 }
 
-/// [`execute_sharded_with`] specialised to local [`CollectSink`]s (the classic
-/// collect-everything runs).
-fn execute_sharded<F>(
-    clusters: &[Vec<QueryId>],
-    workers: usize,
-    exec: F,
-) -> (Vec<ClusterResult>, usize)
-where
-    F: Fn(usize, &mut CollectSink, &mut SearchBuffers) -> EnumStats + Sync,
-{
-    execute_sharded_with(
-        clusters,
-        workers,
-        // lint:allow(panic-free-hot-path) cluster_idx enumerates the same clusters slice
-        |cluster_idx| CollectSink::new(clusters[cluster_idx].len()),
-        exec,
-    )
-}
-
-/// Merges sorted per-cluster results into the caller's sink and stats, in cluster order.
-///
-/// Counters and the `IdentifySubquery` stage (a CPU-side total, exactly as the sequential
-/// algorithm accumulates it across clusters) merge here; the `Enumeration` stage is *not*
-/// summed from the per-cluster stats — with concurrent workers that would report total
-/// CPU time, up to `workers ×` the elapsed time. The callers record the wall-clock of
-/// their whole parallel region as `Enumeration` instead.
-///
-/// Sink verdicts are honoured at delivery time: a `SkipQuery` drops the query's
-/// remaining buffered paths, a `Stop` ends delivery outright (the enumeration work has
-/// already happened inside the workers — these paths run through the quota-blind
-/// collect-everything pipeline — but the sink is never called past its verdict, exactly
-/// as the [`PathSink::accept`] contract promises). Stats still cover every evaluated
-/// cluster. Sinks that want the parallel *work saving* too go through the spec pipeline
-/// ([`crate::Engine::run_specs_parallel`]), where workers carry the quotas themselves.
-fn merge_results<S: PathSink>(
-    clusters: &[Vec<QueryId>],
-    results: Vec<ClusterResult>,
-    stats: &mut EnumStats,
-    sink: &mut S,
-) {
-    let mut stopped = false;
-    for (cluster_idx, local, cluster_stats) in results {
-        stats.counters.merge(&cluster_stats.counters);
-        stats.num_shared_subqueries += cluster_stats.num_shared_subqueries;
-        stats.peak_cached_results = stats
-            .peak_cached_results
-            .max(cluster_stats.peak_cached_results);
-        stats.add_stage(
-            Stage::IdentifySubquery,
-            cluster_stats.stage_time(Stage::IdentifySubquery),
-        );
-        if stopped {
-            continue;
-        }
-        // lint:allow(panic-free-hot-path) cluster_idx came out of execute_sharded over these clusters
-        'cluster: for (offset, &qid) in clusters[cluster_idx].iter().enumerate() {
-            for path in local.paths(offset).iter() {
-                match sink.accept(qid, path) {
-                    SinkFlow::Continue => {}
-                    SinkFlow::SkipQuery => break,
-                    SinkFlow::Stop => {
-                        stopped = true;
-                        break 'cluster;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Merges sorted per-cluster spec results into the caller's stats and response slots, in
-/// cluster order (the spec-mode sibling of [`merge_results`]: responses are typed values,
-/// not replayed paths — a worker-local `Count` cannot be reconstructed from paths).
+/// cluster order. Responses are typed values moved out of the worker-local sinks (a
+/// worker-local `Count` cannot be reconstructed from paths).
 fn merge_spec_results(
     clusters: &[Vec<QueryId>],
     results: Vec<(usize, SpecSink, EnumStats)>,
@@ -413,12 +298,14 @@ fn merge_spec_results(
 /// (per-query index, per-query enumeration), workers run the quota-aware per-query
 /// pipeline against a worker-local [`SpecSink`], so `Exists`/`FirstK` specs terminate
 /// their DFS early exactly as they would sequentially. Responses are merged in query
-/// order — identical to the sequential run.
+/// order — identical to the sequential run. The per-query index builds happen inside
+/// the workers, so they are part of the `Enumeration` wall-clock, not a separate
+/// `BuildIndex` stage.
 pub(crate) fn run_specs_parallel_pathenum(
     graph: &DiGraph,
     specs: &[QuerySpec],
     order: SearchOrder,
-    parallelism: Parallelism,
+    threads: usize,
 ) -> (Vec<QueryResponse>, EnumStats) {
     let mut stats = EnumStats::new(specs.len());
     stats.num_clusters = specs.len();
@@ -431,7 +318,7 @@ pub(crate) fn run_specs_parallel_pathenum(
     let per_query = PathEnum::new(order);
     let (results, num_shards) = execute_sharded_with(
         &clusters,
-        parallelism.workers(),
+        threads,
         // lint:allow(panic-free-hot-path) ci < specs.len(): one cluster per spec
         |ci| SpecSink::new(&specs[ci..=ci]),
         |ci, local, buf| {
@@ -478,7 +365,7 @@ pub(crate) fn run_specs_parallel_with_index(
     gamma: f64,
     shared: bool,
     split: SplitPolicy,
-    parallelism: Parallelism,
+    threads: usize,
 ) -> (Vec<QueryResponse>, EnumStats) {
     let mut stats = EnumStats::new(specs.len());
     let mut responses: Vec<Option<QueryResponse>> = vec![None; specs.len()];
@@ -489,7 +376,7 @@ pub(crate) fn run_specs_parallel_with_index(
     let start = Instant::now();
     let queries: Vec<PathQuery> = specs.iter().map(|s| s.query).collect();
     let clusters: Vec<Vec<QueryId>> = if shared {
-        cluster_with_policy(index, &queries, gamma, split, parallelism.workers())
+        cluster_with_policy(index, &queries, gamma, split, threads)
     } else {
         (0..specs.len()).map(|q| vec![q]).collect()
     };
@@ -501,7 +388,7 @@ pub(crate) fn run_specs_parallel_with_index(
     let sequential = BatchEnum::new(order, 1.0);
     let (results, num_shards) = execute_sharded_with(
         &clusters,
-        parallelism.workers(),
+        threads,
         |ci| {
             let cluster_specs: Vec<QuerySpec> =
                 // lint:allow(panic-free-hot-path) ci and qid come from the clustering over these specs
@@ -541,267 +428,9 @@ pub(crate) fn run_specs_parallel_with_index(
     (responses, stats)
 }
 
-/// The "more servers" baseline: every query is enumerated independently (PathEnum against
-/// a shared index, exactly like `BasicEnum`), but queries are spread over worker threads.
-///
-/// No computation is shared beyond the index, so the total CPU *work* equals `BasicEnum`'s;
-/// only the wall-clock time shrinks, and only as long as the per-query costs are balanced.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelBasicEnum {
-    /// Neighbour expansion order for the per-query searches.
-    pub order: SearchOrder,
-    /// Worker thread count.
-    pub parallelism: Parallelism,
-}
-
-impl Default for ParallelBasicEnum {
-    fn default() -> Self {
-        ParallelBasicEnum {
-            order: SearchOrder::default(),
-            parallelism: Parallelism::Auto,
-        }
-    }
-}
-
-impl ParallelBasicEnum {
-    /// Creates the runner with an explicit search order and worker count.
-    pub fn new(order: SearchOrder, parallelism: Parallelism) -> Self {
-        ParallelBasicEnum { order, parallelism }
-    }
-
-    /// Processes the batch, streaming results (in query order) into `sink`.
-    pub fn run_batch<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        queries: &[PathQuery],
-        sink: &mut S,
-    ) -> EnumStats {
-        if queries.is_empty() {
-            sink.finish();
-            return EnumStats::new(0);
-        }
-        let start = Instant::now();
-        let summary = BatchSummary::of(queries);
-        let index = BatchIndex::build(
-            graph,
-            &summary.sources,
-            &summary.targets,
-            summary.max_hop_limit,
-        );
-        let build_time = start.elapsed();
-        let mut stats = self.run_batch_with_index(graph, &index, queries, sink);
-        stats.add_stage(Stage::BuildIndex, build_time);
-        stats
-    }
-
-    /// Processes a batch against an already-built (possibly superset) index — the entry
-    /// point the long-lived [`Engine`](crate::Engine) uses with its cached index.
-    pub fn run_batch_with_index<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        index: &BatchIndex,
-        queries: &[PathQuery],
-        sink: &mut S,
-    ) -> EnumStats {
-        let mut stats = EnumStats::new(queries.len());
-        stats.num_clusters = queries.len();
-        if queries.is_empty() {
-            sink.finish();
-            return stats;
-        }
-        // Every query is its own "cluster": no sharing, maximal parallel slack.
-        let start = Instant::now();
-        let clusters: Vec<Vec<QueryId>> = (0..queries.len()).map(|q| vec![q]).collect();
-        let per_query = PathEnum::new(self.order);
-        let (results, num_shards) =
-            execute_sharded(&clusters, self.parallelism.workers(), |ci, local, buf| {
-                let mut cluster_stats = EnumStats::new(1);
-                per_query.run_with_index_buffered(
-                    graph,
-                    index,
-                    // lint:allow(panic-free-hot-path) ci < queries.len(): one cluster per query
-                    &queries[ci],
-                    0,
-                    local,
-                    &mut cluster_stats,
-                    buf,
-                );
-                cluster_stats
-            });
-        merge_results(&clusters, results, &mut stats, sink);
-        stats.num_shards = num_shards;
-        stats.add_stage(Stage::Enumeration, start.elapsed());
-        sink.finish();
-        stats
-    }
-}
-
-/// Parallel `PathEnum`: the fully independent baseline (per-query index, per-query
-/// enumeration) spread over worker threads. This is what a serving engine runs when its
-/// configured algorithm is `PathEnum` and parallelism is requested: the per-query index
-/// builds are part of the measured work, exactly as in the sequential baseline.
-pub(crate) fn run_pathenum_parallel<S: PathSink>(
-    graph: &DiGraph,
-    queries: &[PathQuery],
-    order: SearchOrder,
-    parallelism: Parallelism,
-    sink: &mut S,
-) -> EnumStats {
-    let mut stats = EnumStats::new(queries.len());
-    stats.num_clusters = queries.len();
-    if queries.is_empty() {
-        sink.finish();
-        return stats;
-    }
-    let start = Instant::now();
-    let clusters: Vec<Vec<QueryId>> = (0..queries.len()).map(|q| vec![q]).collect();
-    let per_query = PathEnum::new(order);
-    let (results, num_shards) =
-        execute_sharded(&clusters, parallelism.workers(), |ci, local, buf| {
-            let mut cluster_stats = EnumStats::new(1);
-            // lint:allow(panic-free-hot-path) ci < queries.len(): one cluster per query
-            per_query.run_single_buffered(graph, &queries[ci], 0, local, &mut cluster_stats, buf);
-            cluster_stats
-        });
-    // The per-query index builds happen inside the workers, so they are part of the
-    // parallel region's wall-clock below; they are not reported as a separate BuildIndex
-    // stage to keep the stage times a wall-clock decomposition (no double counting).
-    merge_results(&clusters, results, &mut stats, sink);
-    stats.num_shards = num_shards;
-    stats.add_stage(Stage::Enumeration, start.elapsed());
-    sink.finish();
-    stats
-}
-
-/// Parallel `BatchEnum`: clusters are detected exactly as in the sequential algorithm and
-/// then evaluated concurrently on the cluster-sharded worker pool. Sharing happens
-/// *inside* a cluster (where the common computation lives); across clusters there is
-/// nothing to share, so they parallelise embarrassingly.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelBatchEnum {
-    /// Neighbour expansion order.
-    pub order: SearchOrder,
-    /// Clustering threshold γ.
-    pub gamma: f64,
-    /// Worker thread count.
-    pub parallelism: Parallelism,
-    /// Intra-cluster work splitting (see [`SplitPolicy`]). Dense graphs can collapse a
-    /// whole batch into a single cluster, which is maximal sharing but zero parallel
-    /// slack (one cluster = one worker) and an unbounded shared-cache footprint.
-    /// Splitting keeps sharing within a sub-cluster and gives it up across the split.
-    /// Results stay lossless per query, but with any splitting the per-query path
-    /// *order* matches a sequential run over the same split clusters, not the unsplit
-    /// sequential run. [`SplitPolicy::Never`] (default) preserves the byte-identical
-    /// guarantee.
-    pub split: SplitPolicy,
-}
-
-impl Default for ParallelBatchEnum {
-    fn default() -> Self {
-        ParallelBatchEnum {
-            order: SearchOrder::default(),
-            gamma: crate::batch_enum::DEFAULT_GAMMA,
-            parallelism: Parallelism::Auto,
-            split: SplitPolicy::Never,
-        }
-    }
-}
-
-impl ParallelBatchEnum {
-    /// Creates the runner (no cluster splitting).
-    pub fn new(order: SearchOrder, gamma: f64, parallelism: Parallelism) -> Self {
-        ParallelBatchEnum {
-            order,
-            gamma,
-            parallelism,
-            split: SplitPolicy::Never,
-        }
-    }
-
-    /// Returns the runner with the given intra-cluster split policy.
-    pub fn with_split_policy(mut self, split: SplitPolicy) -> Self {
-        self.split = split;
-        self
-    }
-
-    /// Processes the batch, streaming results into `sink`.
-    pub fn run_batch<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        queries: &[PathQuery],
-        sink: &mut S,
-    ) -> EnumStats {
-        if queries.is_empty() {
-            sink.finish();
-            return EnumStats::new(0);
-        }
-        // Index construction is identical to the sequential BatchEnum.
-        let start = Instant::now();
-        let summary = BatchSummary::of(queries);
-        let index = BatchIndex::build(
-            graph,
-            &summary.sources,
-            &summary.targets,
-            summary.max_hop_limit,
-        );
-        let build_time = start.elapsed();
-        let mut stats = self.run_batch_with_index(graph, &index, queries, sink);
-        stats.add_stage(Stage::BuildIndex, build_time);
-        stats
-    }
-
-    /// Processes a batch against an already-built (possibly superset) index: clustering on
-    /// the calling thread, cluster evaluation on the worker pool, deterministic merge.
-    pub fn run_batch_with_index<S: PathSink>(
-        &self,
-        graph: &DiGraph,
-        index: &BatchIndex,
-        queries: &[PathQuery],
-        sink: &mut S,
-    ) -> EnumStats {
-        let mut stats = EnumStats::new(queries.len());
-        if queries.is_empty() {
-            sink.finish();
-            return stats;
-        }
-
-        // Clustering is identical to the sequential BatchEnum; the split policy then
-        // breaks oversized clusters into bounded, consecutive sub-clusters.
-        let start = Instant::now();
-        let clusters = cluster_with_policy(
-            index,
-            queries,
-            self.gamma,
-            self.split,
-            self.parallelism.workers(),
-        );
-        stats.num_clusters = clusters.len();
-        stats.add_stage(Stage::ClusterQuery, start.elapsed());
-
-        // Evaluate clusters on the sharded pool; each worker runs the sequential shared
-        // pipeline on its cluster (detection + topological enumeration). γ = 1 inside the
-        // worker keeps the cluster as a single group (it has already been formed by the
-        // outer clustering) without re-clustering cost.
-        let start = Instant::now();
-        let sequential = BatchEnum::new(self.order, 1.0);
-        let (results, num_shards) =
-            execute_sharded(&clusters, self.parallelism.workers(), |ci, local, buf| {
-                let cluster_queries_list: Vec<PathQuery> =
-                    // lint:allow(panic-free-hot-path) ci and qid come from the clustering over these queries
-                    clusters[ci].iter().map(|&qid| queries[qid]).collect();
-                sequential.run_cluster_for_parallel(graph, index, &cluster_queries_list, local, buf)
-            });
-        merge_results(&clusters, results, &mut stats, sink);
-        stats.num_shards = num_shards;
-        stats.add_stage(Stage::Enumeration, start.elapsed());
-        sink.finish();
-        stats
-    }
-}
-
 impl BatchEnum {
     /// Evaluates one pre-formed cluster against an existing index (used by the parallel
-    /// wrapper): detection + shared enumeration, but no index build and no re-clustering.
+    /// workers): detection + shared enumeration, but no index build and no re-clustering.
     pub(crate) fn run_cluster_for_parallel<S: PathSink>(
         &self,
         graph: &DiGraph,
@@ -817,65 +446,13 @@ impl BatchEnum {
     }
 }
 
-/// Convenience comparison record used by the parallelism ablation: the same batch timed
-/// sequentially and with a given worker count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelComparison {
-    /// Wall-clock seconds of the sequential run.
-    pub sequential_seconds: f64,
-    /// Wall-clock seconds of the parallel run.
-    pub parallel_seconds: f64,
-    /// Number of worker threads used by the parallel run.
-    pub workers: usize,
-}
-
-impl ParallelComparison {
-    /// Observed speed-up (sequential / parallel).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_seconds <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.sequential_seconds / self.parallel_seconds
-    }
-}
-
-/// Times `BasicEnum` sequentially vs [`ParallelBasicEnum`] with `workers` threads on the
-/// same batch (results are counted, not collected).
-pub fn compare_parallel_basic(
-    graph: &DiGraph,
-    queries: &[PathQuery],
-    order: SearchOrder,
-    workers: usize,
-) -> ParallelComparison {
-    use crate::sink::CountSink;
-
-    let start = Instant::now();
-    let mut sequential_sink = CountSink::new(queries.len());
-    BasicEnum::new(order).run_batch(graph, queries, &mut sequential_sink);
-    let sequential_seconds = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let mut parallel_sink = CountSink::new(queries.len());
-    ParallelBasicEnum::new(order, Parallelism::Fixed(workers)).run_batch(
-        graph,
-        queries,
-        &mut parallel_sink,
-    );
-    let parallel_seconds = start.elapsed().as_secs_f64();
-
-    debug_assert_eq!(sequential_sink.counts(), parallel_sink.counts());
-    ParallelComparison {
-        sequential_seconds,
-        parallel_seconds,
-        workers,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bruteforce::enumerate_reference;
-    use crate::sink::CountSink;
+    use crate::path::PathSet;
+    use crate::query::BatchSummary;
+    use crate::sink::CollectSink;
     use hcsp_graph::generators::erdos_renyi::gnm_random;
     use hcsp_graph::generators::regular::{complete, grid};
 
@@ -884,6 +461,40 @@ mod tests {
             .iter()
             .map(|q| enumerate_reference(graph, q).len() as u64)
             .collect()
+    }
+
+    /// Runs `queries` as `Collect` specs through the shared-index parallel pipeline
+    /// (`shared` picks the `BatchEnum` shape over the `BasicEnum` one) and returns the
+    /// per-query paths with the run's stats.
+    fn run_collect(
+        graph: &DiGraph,
+        queries: &[PathQuery],
+        order: SearchOrder,
+        gamma: f64,
+        shared: bool,
+        split: SplitPolicy,
+        threads: usize,
+    ) -> (Vec<PathSet>, EnumStats) {
+        let summary = BatchSummary::of(queries);
+        let index = BatchIndex::build(
+            graph,
+            &summary.sources,
+            &summary.targets,
+            summary.max_hop_limit,
+        );
+        let specs: Vec<QuerySpec> = queries.iter().map(|&q| QuerySpec::collect(q)).collect();
+        let (responses, stats) = run_specs_parallel_with_index(
+            graph, &index, &specs, order, gamma, shared, split, threads,
+        );
+        let paths = responses
+            .into_iter()
+            .map(|r| r.into_paths().expect("collect specs answer with paths"))
+            .collect();
+        (paths, stats)
+    }
+
+    fn counts(paths: &[PathSet]) -> Vec<u64> {
+        paths.iter().map(|p| p.len() as u64).collect()
     }
 
     #[test]
@@ -937,15 +548,22 @@ mod tests {
             PathQuery::new(0u32, 11u32, 5),
         ];
         for workers in [1, 2, 4] {
-            let mut sink = CountSink::new(queries.len());
-            let stats = ParallelBasicEnum::new(SearchOrder::VertexId, Parallelism::Fixed(workers))
-                .run_batch(&g, &queries, &mut sink);
+            let (paths, stats) = run_collect(
+                &g,
+                &queries,
+                SearchOrder::VertexId,
+                1.0,
+                false,
+                SplitPolicy::Never,
+                workers,
+            );
             assert_eq!(
-                sink.counts(),
+                counts(&paths),
                 reference_counts(&g, &queries),
                 "workers = {workers}"
             );
             assert_eq!(stats.num_queries, queries.len());
+            assert_eq!(stats.num_clusters, queries.len(), "one query per cluster");
             assert!(stats.counters.produced_paths > 0);
         }
     }
@@ -963,15 +581,17 @@ mod tests {
                 PathQuery::new(3u32, 42u32, 4),
             ];
             for workers in [1, 3] {
-                let mut sink = CountSink::new(queries.len());
-                let stats = ParallelBatchEnum::new(
+                let (paths, stats) = run_collect(
+                    &g,
+                    &queries,
                     SearchOrder::DistanceThenDegree,
                     0.4,
-                    Parallelism::Fixed(workers),
-                )
-                .run_batch(&g, &queries, &mut sink);
+                    true,
+                    SplitPolicy::Never,
+                    workers,
+                );
                 assert_eq!(
-                    sink.counts(),
+                    counts(&paths),
                     reference_counts(&g, &queries),
                     "workers = {workers}"
                 );
@@ -989,16 +609,21 @@ mod tests {
             PathQuery::new(1u32, 30u32, 4),
             PathQuery::new(2u32, 31u32, 5),
         ];
-        let mut sequential = crate::sink::CollectSink::new(queries.len());
+        let mut sequential = CollectSink::new(queries.len());
         let seq_stats =
             BatchEnum::new(SearchOrder::VertexId, 0.4).run_batch(&g, &queries, &mut sequential);
         for workers in [1, 2, 4, 8] {
-            let mut parallel = crate::sink::CollectSink::new(queries.len());
-            let par_stats =
-                ParallelBatchEnum::new(SearchOrder::VertexId, 0.4, Parallelism::Fixed(workers))
-                    .run_batch(&g, &queries, &mut parallel);
+            let (paths, par_stats) = run_collect(
+                &g,
+                &queries,
+                SearchOrder::VertexId,
+                0.4,
+                true,
+                SplitPolicy::Never,
+                workers,
+            );
             // Not just the same path sets: the same paths in the same order per query.
-            assert_eq!(parallel.all(), sequential.all(), "workers = {workers}");
+            assert_eq!(paths, sequential.all(), "workers = {workers}");
             assert_eq!(par_stats.counters, seq_stats.counters);
             assert_eq!(par_stats.num_clusters, seq_stats.num_clusters);
             assert_eq!(
@@ -1015,23 +640,18 @@ mod tests {
             .map(|i| PathQuery::new(i as u32, (30 + i / 2) as u32, 4 + (i % 2) as u32))
             .collect();
         let reference = reference_counts(&g, &queries);
+        let run = |split| run_collect(&g, &queries, SearchOrder::VertexId, 0.4, true, split, 2);
 
-        let uncapped = ParallelBatchEnum::new(SearchOrder::VertexId, 0.4, Parallelism::Fixed(2));
-        let mut sink = CountSink::new(queries.len());
-        let uncapped_stats = uncapped.run_batch(&g, &queries, &mut sink);
-        assert_eq!(sink.counts(), reference);
+        let (paths, uncapped_stats) = run(SplitPolicy::Never);
+        assert_eq!(counts(&paths), reference);
 
-        let capped = uncapped.with_split_policy(SplitPolicy::Cap(2));
-        let mut sink = CountSink::new(queries.len());
-        let capped_stats = capped.run_batch(&g, &queries, &mut sink);
-        assert_eq!(sink.counts(), reference, "splitting must be lossless");
+        let (paths, capped_stats) = run(SplitPolicy::Cap(2));
+        assert_eq!(counts(&paths), reference, "splitting must be lossless");
         assert!(
             capped_stats.num_clusters >= uncapped_stats.num_clusters,
             "a cap can only increase the cluster count"
         );
         assert!(capped_stats.num_clusters >= queries.len() / 2);
-        assert_eq!(capped.split, SplitPolicy::Cap(2));
-        assert_eq!(ParallelBatchEnum::default().split, SplitPolicy::Never);
     }
 
     #[test]
@@ -1041,18 +661,15 @@ mod tests {
         // cluster at a permissive γ: the regime Auto exists for.
         let queries: Vec<PathQuery> = (1..8).map(|i| PathQuery::new(0u32, i as u32, 3)).collect();
         let reference = reference_counts(&g, &queries);
+        let run = |split| run_collect(&g, &queries, SearchOrder::VertexId, 0.1, true, split, 4);
 
-        let never = ParallelBatchEnum::new(SearchOrder::VertexId, 0.1, Parallelism::Fixed(4));
-        let mut sink = CountSink::new(queries.len());
-        let never_stats = never.run_batch(&g, &queries, &mut sink);
-        assert_eq!(sink.counts(), reference);
+        let (paths, never_stats) = run(SplitPolicy::Never);
+        assert_eq!(counts(&paths), reference);
         assert_eq!(never_stats.num_clusters, 1, "the regime under test");
         assert_eq!(never_stats.num_shards, 1, "one cluster = one steal unit");
 
-        let auto = never.with_split_policy(SplitPolicy::Auto);
-        let mut sink = CountSink::new(queries.len());
-        let auto_stats = auto.run_batch(&g, &queries, &mut sink);
-        assert_eq!(sink.counts(), reference, "splitting must be lossless");
+        let (paths, auto_stats) = run(SplitPolicy::Auto);
+        assert_eq!(counts(&paths), reference, "splitting must be lossless");
         assert!(
             auto_stats.num_shards > 1,
             "Auto must restore >1 effective shard, got {}",
@@ -1073,14 +690,9 @@ mod tests {
         let split = SplitPolicy::Auto.apply(clusters.clone(), 8, 8);
         assert_eq!(split.len(), 8);
         assert!(split.iter().all(|c| c.len() == 1));
-        // Never and Cap(0) are identity; from_cap maps the legacy knob.
+        // Never and Cap(0) are identity.
         assert_eq!(SplitPolicy::Never.apply(clusters.clone(), 8, 8), clusters);
-        assert_eq!(SplitPolicy::from_cap(Some(3)), SplitPolicy::Cap(3));
-        assert_eq!(SplitPolicy::from_cap(Some(0)), SplitPolicy::Never);
-        assert_eq!(SplitPolicy::from_cap(None), SplitPolicy::Never);
-        assert_eq!(SplitPolicy::Cap(3).cap(), Some(3));
-        assert_eq!(SplitPolicy::Cap(0).cap(), None);
-        assert_eq!(SplitPolicy::Auto.cap(), None);
+        assert_eq!(SplitPolicy::Cap(0).apply(clusters.clone(), 8, 8), clusters);
         assert_eq!(SplitPolicy::default(), SplitPolicy::Never);
     }
 
@@ -1094,52 +706,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_honours_sink_verdicts() {
-        let g = complete(6);
-        let queries = vec![PathQuery::new(0u32, 5u32, 3), PathQuery::new(1u32, 4u32, 3)];
-        let reference = reference_counts(&g, &queries);
-        assert!(reference.iter().all(|&c| c > 2));
-
-        // SkipQuery after 2 paths per query: each query delivers exactly 2.
-        let mut per_query = vec![0u64; queries.len()];
-        {
-            let mut sink = crate::sink::ControlSink::new(|q, _p: &[hcsp_graph::VertexId]| {
-                per_query[q] += 1;
-                if per_query[q] >= 2 {
-                    SinkFlow::SkipQuery
-                } else {
-                    SinkFlow::Continue
-                }
-            });
-            ParallelBasicEnum::new(SearchOrder::VertexId, Parallelism::Fixed(2))
-                .run_batch(&g, &queries, &mut sink);
-        }
-        assert_eq!(per_query, vec![2, 2], "no accept past a SkipQuery verdict");
-
-        // Stop after the first path: delivery ends for the whole batch.
-        let mut total = 0u64;
-        {
-            let mut sink = crate::sink::ControlSink::new(|_q, _p: &[hcsp_graph::VertexId]| {
-                total += 1;
-                SinkFlow::Stop
-            });
-            ParallelBasicEnum::new(SearchOrder::VertexId, Parallelism::Fixed(2))
-                .run_batch(&g, &queries, &mut sink);
-        }
-        assert_eq!(total, 1, "no accept past a Stop verdict");
-    }
-
-    #[test]
     fn parallel_collect_sink_receives_every_path() {
         let g = complete(6);
         let queries = vec![PathQuery::new(0u32, 5u32, 3), PathQuery::new(1u32, 4u32, 3)];
-        let mut sink = crate::sink::CollectSink::new(queries.len());
-        ParallelBasicEnum::new(SearchOrder::VertexId, Parallelism::Fixed(2))
-            .run_batch(&g, &queries, &mut sink);
+        let (paths, _) = run_collect(
+            &g,
+            &queries,
+            SearchOrder::VertexId,
+            1.0,
+            false,
+            SplitPolicy::Never,
+            2,
+        );
         let reference = reference_counts(&g, &queries);
         for (i, &expected) in reference.iter().enumerate() {
-            assert_eq!(sink.paths(i).len() as u64, expected);
-            for p in sink.paths(i).iter() {
+            assert_eq!(paths[i].len() as u64, expected);
+            for p in paths[i].iter() {
                 assert_eq!(p[0], queries[i].source);
                 assert_eq!(*p.last().unwrap(), queries[i].target);
             }
@@ -1149,27 +731,44 @@ mod tests {
     #[test]
     fn empty_batches_and_degenerate_worker_counts() {
         let g = complete(3);
-        let mut sink = CountSink::new(0);
-        let stats = ParallelBasicEnum::default().run_batch(&g, &[], &mut sink);
+        for shared in [false, true] {
+            let (paths, stats) = run_collect(
+                &g,
+                &[],
+                SearchOrder::VertexId,
+                0.5,
+                shared,
+                SplitPolicy::Auto,
+                2,
+            );
+            assert!(paths.is_empty());
+            assert_eq!(stats.num_queries, 0);
+        }
+        let (responses, stats) = run_specs_parallel_pathenum(&g, &[], SearchOrder::VertexId, 2);
+        assert!(responses.is_empty());
         assert_eq!(stats.num_queries, 0);
-        let stats = ParallelBatchEnum::default().run_batch(&g, &[], &mut sink);
-        assert_eq!(stats.num_queries, 0);
-        assert_eq!(Parallelism::Fixed(0).workers(), 1);
-        assert!(Parallelism::Auto.workers() >= 1);
-        assert_eq!(Parallelism::default(), Parallelism::Auto);
-    }
 
-    #[test]
-    fn comparison_reports_consistent_numbers() {
-        let g = grid(4, 4);
-        let queries = vec![
-            PathQuery::new(0u32, 15u32, 6),
-            PathQuery::new(1u32, 15u32, 6),
-        ];
-        let cmp = compare_parallel_basic(&g, &queries, SearchOrder::VertexId, 2);
-        assert_eq!(cmp.workers, 2);
-        assert!(cmp.sequential_seconds >= 0.0);
-        assert!(cmp.parallel_seconds >= 0.0);
-        assert!(cmp.speedup() > 0.0);
+        // Zero threads run as one.
+        let queries = vec![PathQuery::new(0u32, 2u32, 2)];
+        for shared in [false, true] {
+            let run = |threads| {
+                run_collect(
+                    &g,
+                    &queries,
+                    SearchOrder::VertexId,
+                    0.5,
+                    shared,
+                    SplitPolicy::Auto,
+                    threads,
+                )
+                .0
+            };
+            assert_eq!(run(0), run(1), "shared = {shared}");
+        }
+        let specs = [QuerySpec::collect(queries[0])];
+        let (zero, _) = run_specs_parallel_pathenum(&g, &specs, SearchOrder::VertexId, 0);
+        let (one, _) = run_specs_parallel_pathenum(&g, &specs, SearchOrder::VertexId, 1);
+        assert_eq!(zero, one);
+        assert_eq!(zero[0].count(), Some(2));
     }
 }

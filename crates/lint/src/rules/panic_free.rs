@@ -12,10 +12,12 @@ use crate::lexer::Tok;
 use crate::scan::is_call;
 use crate::{Diagnostic, SourceFile};
 
-/// The enumeration hot path: the half search, prefix concatenation, the arena
-/// buffers they allocate from, and the parallel work-splitting driver.
-const HOT_FILES: [&str; 4] = [
+/// The enumeration hot path: both half searches (the per-query one and
+/// BatchEnum's shared one), prefix concatenation, the arena buffers they
+/// allocate from, and the parallel work-splitting driver.
+const HOT_FILES: [&str; 5] = [
     "crates/core/src/search.rs",
+    "crates/core/src/batch_enum.rs",
     "crates/core/src/concat.rs",
     "crates/core/src/buffers.rs",
     "crates/core/src/parallel.rs",

@@ -23,7 +23,7 @@ use crate::frame::{
 use crate::lang::{parse, Statement};
 use hcsp_service::{AdmissionError, PathService, SpecHandle, UpdateHandle};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -216,6 +216,7 @@ fn serve_connection(mut stream: TcpStream, conn_id: u64, shared: Arc<Shared>) {
         };
         let _ = write_frame(&mut stream, &busy.encode());
         let _ = stream.flush();
+        close_after_refusal(&mut stream);
         return;
     }
     if let Ok(read_half) = stream.try_clone() {
@@ -224,6 +225,24 @@ fn serve_connection(mut stream: TcpStream, conn_id: u64, shared: Arc<Shared>) {
     run_connection(stream, &shared);
     shared.streams.lock().unwrap().remove(&conn_id);
     shared.live.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Closes a refused connection without losing its `Busy` frame. Closing a socket that
+/// still holds unread client bytes (a request pipelined behind the handshake) makes the
+/// kernel answer with a reset, and the reset can discard the frame before the client
+/// reads it. So the write side is half-closed first and the client's bytes are drained
+/// until it hangs up, bounded per read by a timeout and in total by a byte budget.
+fn close_after_refusal(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+    let mut buf = [0u8; 512];
+    let mut budget = 64 * 1024usize;
+    while budget > 0 {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => budget = budget.saturating_sub(n),
+        }
+    }
 }
 
 fn run_connection(stream: TcpStream, shared: &Shared) {

@@ -32,8 +32,8 @@
 
 use crate::policy::BatchPolicy;
 use hcsp_core::{
-    BatchEngine, DurabilitySink, Engine, Epoch, EpochPublisher, MicroBatchStats, Parallelism,
-    PathQuery, PathSet, QueryResponse, QuerySpec, ServiceStats, UpdateSummary,
+    BatchEngine, DurabilitySink, Engine, Epoch, EpochPublisher, MicroBatchStats, PathQuery,
+    PathSet, QueryResponse, QuerySpec, ServiceStats, SplitPolicy, UpdateSummary,
 };
 use hcsp_graph::{DiGraph, GraphUpdate};
 use hcsp_storage::snapshot::write_snapshot;
@@ -773,7 +773,6 @@ pub struct PathServiceBuilder {
     policy: BatchPolicy,
     workers: usize,
     index_root_cap: Option<usize>,
-    parallel_cluster_cap: Option<usize>,
     durability: DurabilityOptions,
 }
 
@@ -784,18 +783,17 @@ impl Default for PathServiceBuilder {
             policy: BatchPolicy::default(),
             workers: 1,
             index_root_cap: None,
-            parallel_cluster_cap: None,
             durability: DurabilityOptions::default(),
         }
     }
 }
 
-/// Default similarity-cluster cap applied when micro-batches execute in parallel
-/// (`exec_threads > 1`) and no explicit cap was configured. Micro-batching exists to form
-/// *cohesive* batches, which routinely collapse into a single similarity cluster — one
-/// cluster is one parallel unit, so without a cap the extra threads would idle. Eight
-/// queries per sub-cluster keeps strong intra-cluster sharing while giving a typical
-/// micro-batch several parallel units.
+/// Similarity-cluster cap ([`SplitPolicy::Cap`]) applied when micro-batches execute in
+/// parallel (`exec_threads > 1`). Micro-batching exists to form *cohesive* batches, which
+/// routinely collapse into a single similarity cluster — one cluster is one parallel
+/// unit, so without a cap the extra threads would idle. Eight queries per sub-cluster
+/// keeps strong intra-cluster sharing while giving a typical micro-batch several
+/// parallel units.
 const DEFAULT_PARALLEL_CLUSTER_CAP: usize = 8;
 
 impl PathServiceBuilder {
@@ -826,15 +824,6 @@ impl PathServiceBuilder {
     /// of one-off endpoints.
     pub fn index_root_cap(mut self, cap: usize) -> Self {
         self.index_root_cap = Some(cap);
-        self
-    }
-
-    /// Caps the similarity-cluster size of *parallel* micro-batch execution (see
-    /// [`Engine::set_parallel_cluster_cap`]). Only consulted when the policy's
-    /// `exec_threads > 1`; defaults to a small cap in that case so that a cohesive
-    /// micro-batch (often one big similarity cluster) still yields parallel units.
-    pub fn parallel_cluster_cap(mut self, cap: usize) -> Self {
-        self.parallel_cluster_cap = Some(cap);
         self
     }
 
@@ -882,34 +871,6 @@ impl PathServiceBuilder {
             &graph,
         )?;
         Ok(self.launch(graph, Some((store, None))))
-    }
-
-    /// Starts a *durable* service over `graph`, initialising a new store in `dir`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure `durability(DurabilityOptions::directory(dir))` and call `start`"
-    )]
-    pub fn start_durable(
-        mut self,
-        graph: impl Into<Arc<DiGraph>>,
-        dir: impl AsRef<Path>,
-    ) -> Result<PathService, StorageError> {
-        self.durability.backend = DurabilityBackend::Directory(dir.as_ref().to_path_buf());
-        self.start(graph)
-    }
-
-    /// Starts a *durable* service over `graph` on an explicit [`Vfs`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure `durability(DurabilityOptions::vfs(vfs))` and call `start`"
-    )]
-    pub fn start_durable_vfs(
-        mut self,
-        graph: impl Into<Arc<DiGraph>>,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<PathService, StorageError> {
-        self.durability.backend = DurabilityBackend::Vfs(vfs);
-        self.start(graph)
     }
 
     /// Opens a durable service from an existing store directory, recovering the last
@@ -992,13 +953,10 @@ impl PathServiceBuilder {
                 let config = self.config;
                 let root_cap = self.index_root_cap;
                 let exec_threads = self.policy.exec_threads.max(1);
-                let cluster_cap = if exec_threads > 1 {
-                    Some(
-                        self.parallel_cluster_cap
-                            .unwrap_or(DEFAULT_PARALLEL_CLUSTER_CAP),
-                    )
+                let split = if exec_threads > 1 {
+                    SplitPolicy::Cap(DEFAULT_PARALLEL_CLUSTER_CAP)
                 } else {
-                    None
+                    SplitPolicy::Never
                 };
                 std::thread::spawn(move || {
                     worker_loop(
@@ -1006,7 +964,7 @@ impl PathServiceBuilder {
                         config,
                         root_cap,
                         exec_threads,
-                        cluster_cap,
+                        split,
                         batch_rx,
                         stats,
                     )
@@ -1084,20 +1042,20 @@ fn batcher_loop(rx: Receiver<Submission>, batch_tx: Sender<MicroBatch>, policy: 
 /// ([`Engine::advance_to_epoch`]): a no-op when already there, an incremental index
 /// maintenance step when the epochs' retained deltas cover the gap, an index
 /// invalidation otherwise — never a barrier against other workers. `exec_threads > 1`
-/// runs each micro-batch on the cluster-sharded parallel executor, with `cluster_cap`
+/// runs each micro-batch on the cluster-sharded parallel executor, with `split`
 /// bounding the similarity clusters so cohesive batches still split into parallel units.
 fn worker_loop(
     epoch_cell: Arc<EpochCell>,
     config: BatchEngine,
     root_cap: Option<usize>,
     exec_threads: usize,
-    cluster_cap: Option<usize>,
+    split: SplitPolicy,
     batch_rx: Arc<Mutex<Receiver<MicroBatch>>>,
     stats: Arc<Mutex<ServiceStats>>,
 ) {
     let mut engine = Engine::at_epoch(&epoch_cell.tip(), config);
     engine.set_index_root_cap(root_cap);
-    engine.set_parallel_cluster_cap(cluster_cap);
+    engine.set_parallel_split_policy(split);
     loop {
         // Hold the lock only while waiting for one item; the next worker queues on the
         // mutex, so batches spread across the pool without a work-stealing scheduler.
@@ -1116,7 +1074,7 @@ fn worker_loop(
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let advance = engine.advance_to_epoch(&batch.epoch);
             let outcome = if exec_threads > 1 {
-                engine.run_specs_parallel(&specs, Parallelism::Fixed(exec_threads))
+                engine.run_specs_parallel(&specs, exec_threads)
             } else {
                 engine.run_specs(&specs)
             };
@@ -1129,7 +1087,7 @@ fn worker_loop(
                 drop(batch);
                 let mut fresh = Engine::at_epoch(&epoch, config);
                 fresh.set_index_root_cap(root_cap);
-                fresh.set_parallel_cluster_cap(cluster_cap);
+                fresh.set_parallel_split_policy(split);
                 engine = fresh;
                 continue;
             }
@@ -1688,24 +1646,20 @@ mod tests {
         let queries = grid_queries();
         let expected = offline_counts(&graph, &queries);
 
-        for (exec_threads, explicit_cap) in [(2, None), (4, None), (2, Some(1))] {
-            let mut builder = PathService::builder().policy(
-                BatchPolicy::by_size(queries.len(), Duration::from_millis(200))
-                    .with_exec_threads(exec_threads),
-            );
-            if let Some(cap) = explicit_cap {
-                builder = builder.parallel_cluster_cap(cap);
-            }
-            let service = builder.start(graph.clone()).unwrap();
+        for exec_threads in [2, 4] {
+            let service = PathService::builder()
+                .policy(
+                    BatchPolicy::by_size(queries.len(), Duration::from_millis(200))
+                        .with_exec_threads(exec_threads),
+                )
+                .start(graph.clone())
+                .unwrap();
             let handles = service.submit_all(queries.clone());
             let counts: Vec<u64> = handles
                 .into_iter()
                 .map(|h| h.wait().paths.len() as u64)
                 .collect();
-            assert_eq!(
-                counts, expected,
-                "exec_threads = {exec_threads}, cap = {explicit_cap:?}"
-            );
+            assert_eq!(counts, expected, "exec_threads = {exec_threads}");
             let stats = service.shutdown();
             assert_eq!(stats.num_queries, queries.len());
             assert_eq!(stats.produced_paths, expected.iter().sum::<u64>());
@@ -2306,24 +2260,6 @@ mod tests {
         service.update(vec![GraphUpdate::delete(0u32, 3u32)]).wait();
         assert_eq!(service.stats().group_commit_batches, 0);
         service.shutdown();
-    }
-
-    #[test]
-    fn deprecated_start_entry_points_still_work() {
-        #![allow(deprecated)]
-        use hcsp_storage::FailpointFs;
-        let fs = FailpointFs::new();
-        let service = PathService::builder()
-            .policy(BatchPolicy::immediate())
-            // lint:allow(no-deprecated-internal) regression coverage for the shim itself
-            .start_durable_vfs(complete(4), fs.as_vfs())
-            .unwrap();
-        assert!(service.is_durable());
-        service.update(vec![GraphUpdate::delete(0u32, 3u32)]).wait();
-        service.shutdown();
-        let reopened = PathService::builder().open_vfs(fs.as_vfs()).unwrap();
-        assert_eq!(reopened.recovery().unwrap().replayed_batches, 1);
-        reopened.shutdown();
     }
 
     #[test]

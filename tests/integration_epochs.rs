@@ -52,6 +52,21 @@ fn pinned_batches(graph: &DiGraph, spec: UpdateStreamSpec) -> (Vec<PinnedBatch>,
     (batches, epochs_published)
 }
 
+/// Runs `queries` as `Collect` specs on the parallel executor and returns the paths.
+fn run_collect_parallel(
+    engine: &mut Engine,
+    queries: &[PathQuery],
+    threads: usize,
+) -> Vec<PathSet> {
+    let specs: Vec<QuerySpec> = queries.iter().map(|&q| QuerySpec::collect(q)).collect();
+    engine
+        .run_specs_parallel(&specs, threads)
+        .responses
+        .into_iter()
+        .map(|r| r.into_paths().expect("collect specs answer with paths"))
+        .collect()
+}
+
 /// Executes every pinned batch twice — on a live engine advanced to each batch's epoch,
 /// and on a laggard engine that also serves every batch but whose advances therefore
 /// cross multiple epochs at once whenever consecutive batches skip epochs — comparing
@@ -72,8 +87,8 @@ fn cross_validate_pinned_reads(algorithm: Algorithm, parallelism: Option<usize>)
     let mut laggard = Engine::at_epoch(&batches[0].0, config);
 
     let run = |engine: &mut Engine, queries: &[PathQuery]| match parallelism {
-        Some(threads) => engine.run_batch_parallel(queries, Parallelism::Fixed(threads)),
-        None => engine.run(queries),
+        Some(threads) => run_collect_parallel(engine, queries, threads),
+        None => engine.run(queries).paths,
     };
 
     for (i, (epoch, queries)) in batches.iter().enumerate() {
@@ -83,9 +98,9 @@ fn cross_validate_pinned_reads(algorithm: Algorithm, parallelism: Option<usize>)
         let advance = live.advance_to_epoch(epoch);
         assert_eq!(live.epoch_id(), epoch.id());
         assert!(!advance.invalidated || advance.epochs_crossed > 0);
-        let outcome = run(&mut live, queries);
+        let paths = run(&mut live, queries);
         assert_eq!(
-            outcome.paths,
+            paths,
             expected.paths,
             "{algorithm} (parallelism {parallelism:?}) diverged from the scratch rebuild \
              at epoch {} on batch {i}",
@@ -94,9 +109,9 @@ fn cross_validate_pinned_reads(algorithm: Algorithm, parallelism: Option<usize>)
 
         if i % 2 == 0 {
             laggard.advance_to_epoch(epoch);
-            let outcome = run(&mut laggard, queries);
+            let paths = run(&mut laggard, queries);
             assert_eq!(
-                outcome.paths,
+                paths,
                 expected.paths,
                 "laggard {algorithm} (parallelism {parallelism:?}) diverged at epoch {}",
                 epoch.id()

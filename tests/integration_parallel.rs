@@ -1,10 +1,11 @@
-//! Cross-validation of the cluster-sharded parallel executor against the sequential
-//! algorithms: parallel execution must be **lossless and deterministic**.
+//! Cross-validation of the cluster-sharded parallel executor
+//! ([`Engine::run_specs_parallel`]) against the sequential algorithms: parallel
+//! execution must be **lossless and deterministic**.
 //!
 //! For every seeded generator workload the suite asserts, at 1, 2, 4 and 8 worker
-//! threads, that
+//! threads and for every algorithm, that
 //!
-//! * the parallel `BatchEnum` returns *exactly* the sequential path sets — the same
+//! * a batch of `Collect` specs returns *exactly* the sequential path sets — the same
 //!   paths, per query, in the same order (byte-identical output), and
 //! * the per-query statistics that are defined to be deterministic (traversal counters,
 //!   cluster counts, shared-subquery counts, produced paths) are identical to the
@@ -49,43 +50,64 @@ fn workloads() -> Vec<(String, DiGraph, Vec<PathQuery>)> {
     out
 }
 
-fn collect_sequential_batch(graph: &DiGraph, queries: &[PathQuery]) -> (CollectSink, EnumStats) {
-    let mut sink = CollectSink::new(queries.len());
-    let stats =
-        BatchEnum::new(SearchOrder::DistanceThenDegree, 0.5).run_batch(graph, queries, &mut sink);
-    (sink, stats)
+fn collect_specs(queries: &[PathQuery]) -> Vec<QuerySpec> {
+    queries.iter().map(|&q| QuerySpec::collect(q)).collect()
+}
+
+/// Runs `queries` as `Collect` specs on a fresh engine with `workers` threads.
+fn run_parallel(
+    graph: &DiGraph,
+    algorithm: Algorithm,
+    queries: &[PathQuery],
+    workers: usize,
+) -> (Vec<PathSet>, EnumStats) {
+    let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
+    let outcome = engine.run_specs_parallel(&collect_specs(queries), workers);
+    let paths = outcome
+        .responses
+        .into_iter()
+        .map(|r| r.into_paths().expect("collect specs answer with paths"))
+        .collect();
+    (paths, outcome.stats)
+}
+
+/// Asserts the deterministic `EnumStats` fields of two runs agree.
+fn assert_same_stats(actual: &EnumStats, expected: &EnumStats, what: &str) {
+    assert_eq!(
+        actual.counters, expected.counters,
+        "{what}: counters diverge"
+    );
+    assert_eq!(actual.num_queries, expected.num_queries, "{what}");
+    assert_eq!(actual.num_clusters, expected.num_clusters, "{what}");
+    assert_eq!(
+        actual.num_shared_subqueries, expected.num_shared_subqueries,
+        "{what}"
+    );
 }
 
 #[test]
 fn parallel_batch_enum_is_byte_identical_to_sequential_at_every_thread_count() {
     for (name, graph, queries) in workloads() {
         assert!(!queries.is_empty(), "workload {name} generated no queries");
-        let (sequential, seq_stats) = collect_sequential_batch(&graph, &queries);
+        let mut sequential = CollectSink::new(queries.len());
+        let seq_stats = BatchEnum::new(SearchOrder::DistanceThenDegree, 0.5).run_batch(
+            &graph,
+            &queries,
+            &mut sequential,
+        );
         for workers in THREAD_COUNTS {
-            let mut parallel = CollectSink::new(queries.len());
-            let par_stats = ParallelBatchEnum::new(
-                SearchOrder::DistanceThenDegree,
-                0.5,
-                Parallelism::Fixed(workers),
-            )
-            .run_batch(&graph, &queries, &mut parallel);
-
+            let (paths, par_stats) =
+                run_parallel(&graph, Algorithm::BatchEnumPlus, &queries, workers);
             // Exactly the sequential path set: same paths, same per-query order.
             assert_eq!(
-                parallel.all(),
+                paths,
                 sequential.all(),
                 "{name}: path sets diverge at {workers} workers"
             );
-            // The deterministic statistics match the sequential run.
-            assert_eq!(
-                par_stats.counters, seq_stats.counters,
-                "{name}: counters diverge at {workers} workers"
-            );
-            assert_eq!(par_stats.num_queries, seq_stats.num_queries, "{name}");
-            assert_eq!(par_stats.num_clusters, seq_stats.num_clusters, "{name}");
-            assert_eq!(
-                par_stats.num_shared_subqueries, seq_stats.num_shared_subqueries,
-                "{name}"
+            assert_same_stats(
+                &par_stats,
+                &seq_stats,
+                &format!("{name} at {workers} workers"),
             );
         }
     }
@@ -94,19 +116,11 @@ fn parallel_batch_enum_is_byte_identical_to_sequential_at_every_thread_count() {
 #[test]
 fn parallel_runs_are_deterministic_across_repetitions() {
     for (name, graph, queries) in workloads() {
-        let runner =
-            ParallelBatchEnum::new(SearchOrder::DistanceThenDegree, 0.5, Parallelism::Fixed(4));
-        let mut first = CollectSink::new(queries.len());
-        let first_stats = runner.run_batch(&graph, &queries, &mut first);
+        let (first, first_stats) = run_parallel(&graph, Algorithm::BatchEnumPlus, &queries, 4);
         for _ in 0..2 {
-            let mut again = CollectSink::new(queries.len());
-            let again_stats = runner.run_batch(&graph, &queries, &mut again);
-            assert_eq!(again.all(), first.all(), "{name}: nondeterministic output");
-            assert_eq!(
-                again_stats.counters, first_stats.counters,
-                "{name}: nondeterministic counters"
-            );
-            assert_eq!(again_stats.num_clusters, first_stats.num_clusters);
+            let (again, again_stats) = run_parallel(&graph, Algorithm::BatchEnumPlus, &queries, 4);
+            assert_eq!(again, first, "{name}: nondeterministic output");
+            assert_same_stats(&again_stats, &first_stats, &format!("{name}: repeated run"));
         }
     }
 }
@@ -121,16 +135,12 @@ fn parallel_basic_enum_matches_sequential_basic_enum() {
             &mut sequential,
         );
         for workers in THREAD_COUNTS {
-            let mut parallel = CollectSink::new(queries.len());
-            let par_stats = ParallelBasicEnum::new(
-                SearchOrder::DistanceThenDegree,
-                Parallelism::Fixed(workers),
-            )
-            .run_batch(&graph, &queries, &mut parallel);
+            let (paths, par_stats) =
+                run_parallel(&graph, Algorithm::BasicEnumPlus, &queries, workers);
             assert_eq!(
-                parallel.all(),
+                paths,
                 sequential.all(),
-                "{name}: ParallelBasicEnum diverges at {workers} workers"
+                "{name}: parallel BasicEnum+ diverges at {workers} workers"
             );
             assert_eq!(par_stats.counters, seq_stats.counters, "{name}");
         }
@@ -139,17 +149,19 @@ fn parallel_basic_enum_matches_sequential_basic_enum() {
 
 #[test]
 fn engine_parallel_entry_point_is_lossless_for_every_algorithm() {
-    let (name, graph, queries) = workloads().swap_remove(1);
-    for algorithm in Algorithm::ALL {
-        let mut reference = Engine::with_algorithm(graph.clone(), algorithm);
-        let expected = reference.run(&queries);
-        for workers in THREAD_COUNTS {
-            let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
-            let outcome = engine.run_batch_parallel(&queries, Parallelism::Fixed(workers));
-            assert_eq!(
-                outcome.paths, expected.paths,
-                "{name}: {algorithm} at {workers} workers"
-            );
+    for (name, graph, queries) in workloads() {
+        let specs = collect_specs(&queries);
+        for algorithm in Algorithm::ALL {
+            let mut reference = Engine::with_algorithm(graph.clone(), algorithm);
+            let expected = reference.run_specs(&specs);
+            for workers in THREAD_COUNTS {
+                let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
+                let outcome = engine.run_specs_parallel(&specs, workers);
+                let what = format!("{name}: {algorithm} at {workers} workers");
+                // Byte-identical responses: the same paths per query, in the same order.
+                assert_eq!(outcome.responses, expected.responses, "{what}");
+                assert_same_stats(&outcome.stats, &expected.stats, &what);
+            }
         }
     }
 }

@@ -139,7 +139,7 @@ fn parallel_spec_runs_match_sequential_for_every_algorithm() {
         let expected = sequential.run_specs(&specs);
         for workers in [2, 4] {
             let mut engine = Engine::with_algorithm(graph.clone(), algorithm);
-            let outcome = engine.run_specs_parallel(&specs, Parallelism::Fixed(workers));
+            let outcome = engine.run_specs_parallel(&specs, workers);
             assert_eq!(
                 outcome.responses, expected.responses,
                 "{algorithm} at {workers} threads must be byte-identical to sequential"

@@ -11,6 +11,21 @@ use hcsp::prelude::*;
 use hcsp::workload::{update_stream, Dataset, DatasetScale, StreamEvent, UpdateStreamSpec};
 use std::time::Duration;
 
+/// Runs `queries` as `Collect` specs on the parallel executor and returns the paths.
+fn run_collect_parallel(
+    engine: &mut Engine,
+    queries: &[PathQuery],
+    threads: usize,
+) -> Vec<PathSet> {
+    let specs: Vec<QuerySpec> = queries.iter().map(|&q| QuerySpec::collect(q)).collect();
+    engine
+        .run_specs_parallel(&specs, threads)
+        .responses
+        .into_iter()
+        .map(|r| r.into_paths().expect("collect specs answer with paths"))
+        .collect()
+}
+
 /// Drives one engine through a mixed stream, cross-validating against a from-scratch
 /// rebuild after every step. Queries accumulate between updates and run as shared
 /// batches, so the sharing machinery (clustering, Ψ evaluation, result cache) is
@@ -34,14 +49,14 @@ fn evolve_and_cross_validate(algorithm: Algorithm, parallelism: Option<usize>) {
         if pending.is_empty() {
             return;
         }
-        let outcome = match parallelism {
-            Some(threads) => engine.run_batch_parallel(pending, Parallelism::Fixed(threads)),
-            None => engine.run(pending),
+        let paths = match parallelism {
+            Some(threads) => run_collect_parallel(engine, pending, threads),
+            None => engine.run(pending).paths,
         };
         let mut fresh = Engine::with_algorithm(oracle.compact(), algorithm);
         let expected = fresh.run(pending);
         assert_eq!(
-            outcome.paths, expected.paths,
+            paths, expected.paths,
             "{algorithm} (parallelism {parallelism:?}) diverged from a from-scratch \
              rebuild on {pending:?}"
         );
